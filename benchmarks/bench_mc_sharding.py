@@ -13,9 +13,9 @@ clock).  Four gates, correctness always before timing:
    pickling the identical payload per shard, the transport a
    pool-based design would otherwise pay.  This gate is
    host-independent: it compares bytes moved, not cores used;
-3. **end-to-end ≥ 1.25×** — the sharded path as shipped (fused driver,
-   adaptive cache-budget chunks) vs. the as-shipped serial default
-   (numpy, ``SAMPLE_BLOCK`` chunks), inline on one core;
+3. **end-to-end ≥ 1.25×** — the sharded path as shipped (adaptive
+   cache-budget chunks) vs. the as-shipped serial default
+   (``SAMPLE_BLOCK`` chunks), inline on one core;
 4. **pooled ≥ 2×** — asserted only on hosts with ≥ 4 cores, where the
    shards actually spread; on smaller hosts the number is recorded but
    not gated (a 1-core container cannot speed up by adding processes).
@@ -100,8 +100,7 @@ def test_mc_sharding(output_dir):
         serial = evaluate_mc(params, x, y, scenario=scenario, **kwargs)
         for shards in (1, SHARDS):
             sharded = evaluate_mc_sharded(
-                params, x, y, scenario=scenario, shards=shards,
-                backend="fused", **kwargs,
+                params, x, y, scenario=scenario, shards=shards, **kwargs,
             )
             np.testing.assert_array_equal(sharded.accuracies, serial.accuracies)
 
@@ -116,8 +115,7 @@ def test_mc_sharding(output_dir):
     )
     t_sharded = best_time(
         lambda: evaluate_mc_sharded(
-            params, x, y, scenario=TIMED_SCENARIO, shards=SHARDS,
-            backend="fused", **kwargs,
+            params, x, y, scenario=TIMED_SCENARIO, shards=SHARDS, **kwargs,
         ),
         repeats=REPEATS,
     )
@@ -131,7 +129,7 @@ def test_mc_sharding(output_dir):
             t_pooled = best_time(
                 lambda: evaluate_mc_sharded(
                     params, x, y, scenario=TIMED_SCENARIO, shards=SHARDS,
-                    backend="fused", pool=pool, **kwargs,
+                    pool=pool, **kwargs,
                 ),
                 repeats=REPEATS,
             )
@@ -149,8 +147,8 @@ def test_mc_sharding(output_dir):
         f"    speedup                   : {transport_speedup:8.2f}x "
         f"(gate >= {TRANSPORT_GATE}x)",
         f"  end-to-end (inline, one core):",
-        f"    serial numpy, batch_mc={SAMPLE_BLOCK:<4}: {t_serial:8.3f} s",
-        f"    sharded fused, adaptive   : {t_sharded:8.3f} s",
+        f"    serial, batch_mc={SAMPLE_BLOCK:<4}      : {t_serial:8.3f} s",
+        f"    sharded, adaptive         : {t_sharded:8.3f} s",
         f"    speedup                   : {end_to_end_speedup:8.2f}x "
         f"(gate >= {END_TO_END_GATE}x)",
     ]

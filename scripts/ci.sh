@@ -294,25 +294,24 @@ print(f"scenario smoke OK: {len(serial)} stuck-at lanes bitwise equal to "
       f"kernel; {applied}/{sampled} devices stuck; scenarios {sorted(scen_jobs)}")
 EOF
 
-echo "== backend smoke (fused vs numpy, bitwise-equal, telemetry-gated) =="
-TEL_BACKEND="$SMOKE_ROOT/telemetry_backends"
-TEL_BACKEND="$TEL_BACKEND" python - <<'EOF'
-import os
+echo "== executor smoke (Workspace kernels vs generic forward and recorded runs) =="
+python - <<'EOF'
+import hashlib
 import numpy as np
-from repro import telemetry
 from repro.core import (
     PrintedNeuralNetwork,
     TrainConfig,
-    backend_names,
     evaluate_mc,
-    numba_version,
+    kernels,
     snapshot_params,
     train_pnn,
 )
+from repro.core.evaluation import draw_variation_samples
+from repro.core.variation import VariationModel
 from repro.experiments.runner import default_surrogates
 
-# The registry's house rule: a backend is a performance choice, never a
-# numerical one.  Both gates below are assert_array_equal — bitwise.
+# Training and MC evaluation run only through the Workspace (out=)
+# kernels.  Both gates below are bitwise: assert_array_equal and ==.
 sur = default_surrogates()
 rng = np.random.default_rng(2)
 pnn = PrintedNeuralNetwork([4, 3, 3], sur, rng=np.random.default_rng(7))
@@ -320,53 +319,42 @@ params = snapshot_params(pnn)
 x = rng.uniform(0.0, 1.0, size=(64, 4))
 y = rng.integers(0, 3, size=64)
 
-tel = telemetry.enable(os.environ["TEL_BACKEND"],
-                       manifest={"command": "ci-backend-smoke"})
+# Gate 1: MC evaluation equals the generic repro.core.kernels forward.
+mine = evaluate_mc(params, x, y, epsilon=0.1, n_test=8, seed=11, batch_mc=3)
+epsilons = draw_variation_samples(params, VariationModel(0.1, seed=11), n_test=8)
+oracle = np.mean(kernels.predict(params, x, epsilons=epsilons) == y, axis=1)
+np.testing.assert_array_equal(mine.accuracies, oracle)
 
-# Gate 1: MC evaluation bitwise-identical on every registered backend.
-reference = evaluate_mc(params, x, y, epsilon=0.1, n_test=8, seed=11,
-                        batch_mc=3, backend="numpy")
-for backend in backend_names():
-    mine = evaluate_mc(params, x, y, epsilon=0.1, n_test=8, seed=11,
-                       batch_mc=3, backend=backend)
-    np.testing.assert_array_equal(mine.accuracies, reference.accuracies)
-
-# Gate 2: full fused training trajectory bitwise equal to numpy.
+# Gate 2: a full training trajectory equals the one recorded on the
+# allocating kernels before they were removed (float.hex per epoch,
+# SHA-256 over the sorted final state), through both training engines.
+RECORDED = [
+    ("0x1.39d90d650a1d1p-2", "0x1.06060196ce848p-2"),
+    ("0x1.c808ff29d2c1cp-3", "0x1.8ab933bc450e5p-3"),
+    ("0x1.713e6024f8e2bp-3", "0x1.707759c658b85p-3"),
+    ("0x1.68df94c87032cp-3", "0x1.7577facfb2324p-3"),
+    ("0x1.76f4d2fcadebbp-3", "0x1.6f4513011fffap-3"),
+    ("0x1.7697b7a76edecp-3", "0x1.6671584dccb86p-3"),
+]
+RECORDED_STATE = "e6fbb496ac3e0a306c744c97367cd455b6ccdcf855c9662132b9b204ca01f5b6"
 gen = np.random.default_rng(0)
 x_tr = gen.uniform(0.0, 1.0, size=(24, 4))
 y_tr = gen.integers(0, 3, size=24)
 x_val = gen.uniform(0.0, 1.0, size=(12, 4))
 y_val = gen.integers(0, 3, size=12)
-runs = {}
-for backend in backend_names():
+for engine in ("kernel", "lanes"):
     trainee = PrintedNeuralNetwork([4, 3, 3], sur, rng=np.random.default_rng(7))
-    config = TrainConfig(max_epochs=6, patience=6, epsilon=0.1,
-                         n_mc_train=3, seed=1, backend=backend)
-    runs[backend] = (trainee, train_pnn(trainee, x_tr, y_tr, x_val, y_val,
-                                        config))
-ref_pnn, ref_result = runs["numpy"]
-for backend, (trainee, result) in runs.items():
-    assert result.history == ref_result.history, backend
-    assert result.best_epoch == ref_result.best_epoch
-    state, ref_state = trainee.state_dict(), ref_pnn.state_dict()
-    for name in ref_state:
-        np.testing.assert_array_equal(state[name], ref_state[name])
-telemetry.disable()
-
-# Gate 3 (telemetry): every mc.evaluate span names its backend, both
-# backends actually ran, and nothing silently fell off the fast path.
-events = telemetry.read_events(os.environ["TEL_BACKEND"])
-counters = telemetry.summarize_events(events)["counters"]
-mc_spans = [e for e in events if e["kind"] == "span"
-            and e["name"] == "mc.evaluate"]
-assert mc_spans, "no mc.evaluate spans recorded"
-span_backends = {e["attrs"].get("backend") for e in mc_spans}
-assert span_backends == set(backend_names()), span_backends
-fallbacks = int(counters.get("backend.fallback", 0))
-assert fallbacks == 0, f"{fallbacks} runs fell back off the fused path!"
-jit = numba_version()
-print(f"backend smoke OK: {sorted(span_backends)} bitwise equal on MC + "
-      f"training; 0 fallbacks; numba {jit or 'absent (pure-numpy tier)'}")
+    config = TrainConfig(max_epochs=6, patience=6, epsilon=0.1, n_mc_train=3, seed=1)
+    result = train_pnn(trainee, x_tr, y_tr, x_val, y_val, config, engine=engine)
+    assert [(a.hex(), b.hex()) for _, a, b in result.history] == RECORDED, engine
+    digest = hashlib.sha256()
+    state = trainee.state_dict()
+    for name in sorted(state):
+        digest.update(name.encode())
+        digest.update(np.ascontiguousarray(state[name], dtype=np.float64).tobytes())
+    assert digest.hexdigest() == RECORDED_STATE, engine
+print("executor smoke OK: MC bitwise equal to the generic forward; kernel and "
+      "lane training bitwise equal to the recorded trajectory")
 EOF
 
 echo "== sharding smoke (zero-copy data plane, bitwise-equal, telemetry-gated) =="
@@ -399,12 +387,11 @@ serial = evaluate_mc(params, x, y, **kwargs)
 tel = telemetry.enable(os.environ["TEL_SHARD"],
                        manifest={"command": "ci-sharding-smoke"})
 one = evaluate_mc_sharded(params, x, y, shards=1, **kwargs)
-three = evaluate_mc_sharded(params, x, y, shards=3, backend="fused", **kwargs)
+three = evaluate_mc_sharded(params, x, y, shards=3, **kwargs)
 method = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
 ctx = multiprocessing.get_context(method)
 with ProcessPoolExecutor(max_workers=2, mp_context=ctx) as pool:
-    pooled = evaluate_mc_sharded(params, x, y, shards=3, backend="fused",
-                                 pool=pool, **kwargs)
+    pooled = evaluate_mc_sharded(params, x, y, shards=3, pool=pool, **kwargs)
 telemetry.disable()
 
 # Gate 1: bitwise identity — 1 shard, 3 shards inline, 3 shards pooled

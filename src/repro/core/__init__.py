@@ -21,7 +21,9 @@ This package is the paper's primary contribution (Sec. III):
 - :mod:`~repro.core.params` — immutable :class:`PNNParams` inference
   snapshots executed by the kernels without autograd;
 - :mod:`~repro.core.grad_kernels` — hand-derived backward kernels (VJPs)
-  for every forward kernel, packaged as the autograd-free
+  for every forward kernel, written against preallocated
+  :class:`Workspace` buffers (``out=`` form, the only execution path of
+  training and MC evaluation), packaged as the autograd-free
   :class:`KernelNetwork` training engine;
 - :mod:`~repro.core.training` — nominal and variation-aware training
   (Monte-Carlo expected loss, N_train = 20) with selectable execution
@@ -39,11 +41,7 @@ This package is the paper's primary contribution (Sec. III):
 - :mod:`~repro.core.shm` — the zero-copy shared-memory data plane behind
   sharded evaluation: datasets, :class:`PNNParams` snapshots and
   pre-drawn ε streams published once, mapped read-only in workers under
-  fork and spawn, with audited publish/map/unlink accounting;
-- :mod:`~repro.core.backends` — the execution-backend registry behind
-  the kernel seam: the historical allocating ``"numpy"`` reference and
-  the preallocated-scratch ``"fused"`` backend (optional numba JIT
-  tier), every backend bitwise-equal to the reference.
+  fork and spawn, with audited publish/map/unlink accounting.
 """
 
 from repro.core.conductance import ConductanceConfig
@@ -72,13 +70,6 @@ from repro.core.variation import (
 )
 from repro.core.losses import MarginLoss, make_loss
 from repro.core.grad_kernels import KernelNetwork, Workspace
-from repro.core.backends import (
-    DEFAULT_BACKEND,
-    Backend,
-    backend_names,
-    get_backend,
-    numba_version,
-)
 from repro.core.training import TrainConfig, TrainResult, train_pnn
 from repro.core.lanes import LaneNetwork, train_pnn_lanes
 from repro.core.evaluation import (
@@ -128,11 +119,6 @@ __all__ = [
     "make_loss",
     "KernelNetwork",
     "Workspace",
-    "Backend",
-    "DEFAULT_BACKEND",
-    "backend_names",
-    "get_backend",
-    "numba_version",
     "TrainConfig",
     "TrainResult",
     "train_pnn",

@@ -6,9 +6,13 @@ nonlinear-circuit components), classifies the whole test set, and yields
 one accuracy.  Table II reports the mean and standard deviation over these
 samples — the standard deviation is the paper's robustness measure.
 
-Evaluation runs through the autograd-free kernel path
-(:mod:`repro.core.kernels` over a :class:`~repro.core.params.PNNParams`
-snapshot): inference-heavy MC testing has no use for a gradient tape.
+Evaluation runs autograd-free over a
+:class:`~repro.core.params.PNNParams` snapshot through
+:class:`EvalDriver`, which executes the :func:`repro.core.kernels.
+network_forward` sequence with the Workspace (``out=``) kernels of
+:mod:`repro.core.grad_kernels`: inference-heavy MC testing has no use for
+a gradient tape, and its constant chunk shapes let every batch-sized
+intermediate live in a buffer allocated once per evaluation.
 
 **Sampling stream.**  The ε factors for all ``n_test`` fabrications are
 drawn *up front*, in fixed blocks of :data:`SAMPLE_BLOCK` samples (per
@@ -24,17 +28,18 @@ bit-identical.  Changing it would silently re-roll all MC results.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
 from repro import telemetry
 from repro.core import kernels, shm
-from repro.core.backends import DEFAULT_BACKEND, get_backend
+from repro.core.grad_kernels import Workspace, augment_into, crossbar_fwd, transfer_fwd
 from repro.core.params import PNNParams, snapshot_params
 from repro.core.pnn import PrintedNeuralNetwork
 from repro.core.variation import (
     DEFAULT_SCENARIO,
+    Perturbation,
     VariationModel,
     build_scenario_model,
     eps_concat,
@@ -83,6 +88,89 @@ class MonteCarloAccuracy:
 
 
 Design = Union[PrintedNeuralNetwork, PNNParams]
+
+
+class EvalDriver:
+    """MC-evaluation forward over one design and test set, one Workspace.
+
+    Executes exactly the :func:`repro.core.kernels.network_forward`
+    sequence — same validation, same operations in the same order — but
+    through the ``out=`` kernels of :mod:`repro.core.grad_kernels`, whose
+    buffers persist across ``batch_mc`` chunks (chunk shapes are constant,
+    so the steady state allocates nothing of batch size).  ``out=`` ufuncs
+    and matmuls round identically to their allocating forms, so the
+    output is bitwise equal to ``network_forward`` (pinned per chunk by
+    ``tests/core/test_kernel_equivalence.py``).
+    """
+
+    def __init__(self, params: PNNParams, x: np.ndarray):
+        data = np.asarray(x, dtype=np.float64)
+        if data.ndim != 2:
+            raise ValueError("expected a (batch, features) input")
+        if data.shape[1] != params.layer_sizes[0]:
+            raise ValueError(
+                f"input has {data.shape[1]} features, "
+                f"network expects {params.layer_sizes[0]}"
+            )
+        self.params = params
+        self.x = data
+        self.workspace = Workspace()
+        # Shape of the layer-0 x_aug buffer whose content is already
+        # valid: layer 0 augments the *same* broadcast input every chunk,
+        # so a same-shaped chunk skips the (large) refill.  Nothing else
+        # writes that buffer.
+        self._x0_filled: Optional[Tuple[int, ...]] = None
+
+    def forward(self, epsilons: Optional[List[kernels.LayerEpsilons]] = None) -> np.ndarray:
+        """Output voltages ``(n_mc, batch, classes)`` for one draw chunk."""
+        params = self.params
+        ws = self.workspace
+        n_mc = 1
+        if epsilons is not None:
+            if len(epsilons) != len(params.layers):
+                raise ValueError("need one epsilon triple per layer")
+            first = epsilons[0][0]
+            n_mc = 1 if first is None else int(first.shape[0])
+        hidden = np.broadcast_to(self.x[None], (n_mc, *self.x.shape))
+
+        for index, layer in enumerate(params.layers):
+            eps_theta = eps_act = eps_neg = None
+            if epsilons is not None:
+                eps_theta, eps_act, eps_neg = epsilons[index]
+            tag = f"mc.l{index}"
+
+            shape = (*hidden.shape[:-1], hidden.shape[-1] + 2)
+            x_aug = ws.buf(f"{tag}.x_aug", shape)
+            if index > 0 or self._x0_filled != shape:
+                augment_into(x_aug, hidden)
+                if index == 0:
+                    self._x0_filled = shape
+
+            theta_eff = layer.theta[None]                     # (1, I+2, O)
+            if eps_theta is not None:
+                eps = eps_theta
+                if not isinstance(eps, Perturbation):
+                    eps = np.asarray(eps, dtype=np.float64)
+                if eps.ndim != 3 or eps.shape[1:] != layer.theta.shape:
+                    raise ValueError("epsilon_theta must be (n_mc, in+2, out)")
+                theta_eff = kernels.apply_nonideality(
+                    theta_eff, eps,
+                    out=ws.buf(f"{tag}.theta", np.broadcast_shapes(theta_eff.shape, eps.shape)),
+                )
+
+            inv_eta = kernels.circuit_eta(layer.neg_omega, params.neg_surrogate, eps_neg)
+            inverted, _ = transfer_fwd(x_aug, inv_eta, "negweight", ws=ws, tag=f"{tag}.neg")
+            hidden, _ = crossbar_fwd(x_aug, inverted, theta_eff, ws=ws, tag=tag)
+            if layer.apply_activation:
+                act_eta = kernels.circuit_eta(layer.act_omega, params.act_surrogate, eps_act)
+                hidden, _ = transfer_fwd(hidden, act_eta, "ptanh", ws=ws, tag=f"{tag}.act")
+        return hidden
+
+    def predict(self, epsilons: Optional[List[kernels.LayerEpsilons]] = None) -> np.ndarray:
+        """Class predictions ``(n_mc, batch)`` for one draw chunk."""
+        voltages = self.forward(epsilons)
+        out = self.workspace.buf("mc.pred", voltages.shape[:-1], dtype=np.intp)
+        return np.argmax(voltages, axis=-1, out=out)
 
 
 def _as_params(design: Design) -> PNNParams:
@@ -181,7 +269,6 @@ def evaluate_mc(
     seed: int = 0,
     batch_mc: int = 20,
     scenario: str = DEFAULT_SCENARIO,
-    backend: str = DEFAULT_BACKEND,
 ) -> MonteCarloAccuracy:
     """Evaluate accuracy over ``n_test`` fabricated-circuit samples.
 
@@ -198,12 +285,8 @@ def evaluate_mc(
     model at ``(epsilon, seed)`` and may be non-nominal even at ε = 0
     (stuck-at defects still fabricate broken devices).
 
-    ``backend`` picks the execution backend
-    (:mod:`repro.core.backends`) for the chunk loop.  Every registered
-    backend is bitwise-equal to ``"numpy"``, so the choice never changes
-    results — only how fast the chunks run.  One driver is built per call
-    and reused across chunks, so a fused backend's scratch buffers are
-    allocated once for the whole evaluation.
+    One :class:`EvalDriver` is built per call and reused across chunks,
+    so its scratch buffers are allocated once for the whole evaluation.
     """
     params = _as_params(design)
     y = np.asarray(y, dtype=np.int64)
@@ -213,13 +296,12 @@ def evaluate_mc(
 
     epsilons = draw_variation_samples(params, variation, n_test)
     batch_mc = max(1, int(batch_mc))
-    # One driver (and, for fused backends, one scratch workspace) reused
-    # across every chunk; one preallocated output row per fabrication.
-    driver = get_backend(backend).make_eval_driver(params, x)
+    # One driver (one scratch workspace) reused across every chunk; one
+    # preallocated output row per fabrication.
+    driver = EvalDriver(params, x)
     accuracies = np.empty(n_test, dtype=np.float64)
     with telemetry.get().span(
         "mc.evaluate",
-        backend=backend,
         scenario=scenario,
         epsilon=epsilon,
         n_test=int(n_test),
@@ -254,41 +336,40 @@ def plan_shards(n_test: int, shards: int,
     return spans
 
 
-#: Per-process cache of the latest mapped payload and its backend driver.
-#: Every shard of one published evaluation that lands in a process reuses
-#: a single mapping and a single driver (with its preallocated scratch) —
-#: one fused driver per worker, not one per shard.  Keyed by the payload's
+#: Per-process cache of the latest mapped payload and its driver.  Every
+#: shard of one published evaluation that lands in a process reuses a
+#: single mapping and a single driver (with its preallocated scratch) —
+#: one driver per worker, not one per shard.  Keyed by the payload's
 #: segment names, which are unique per publish, so a new payload evicts
 #: and closes the stale mapping.
-_SHARD_CACHE: Dict[Tuple[str, str, str, str],
-                   Tuple[shm.MappedEvaluation, object]] = {}
+_SHARD_CACHE: Dict[Tuple[str, str, str],
+                   Tuple[shm.MappedEvaluation, EvalDriver]] = {}
 
 
-def _shard_context(payload: shm.EvalPayload,
-                   backend: str) -> Tuple[shm.MappedEvaluation, object]:
+def _shard_context(payload: shm.EvalPayload) -> Tuple[shm.MappedEvaluation, EvalDriver]:
     key = (payload.params.block.segment, payload.dataset.segment,
-           payload.epsilons.block.segment, backend)
+           payload.epsilons.block.segment)
     cached = _SHARD_CACHE.get(key)
     if cached is None:
         while _SHARD_CACHE:
             _, (stale, _) = _SHARD_CACHE.popitem()
             stale.close()
         mapping = shm.map_evaluation(payload)
-        driver = get_backend(backend).make_eval_driver(mapping.params, mapping.x)
+        driver = EvalDriver(mapping.params, mapping.x)
         cached = (mapping, driver)
         _SHARD_CACHE[key] = cached
     return cached
 
 
 def _evaluate_shard(payload: shm.EvalPayload, start: int, stop: int,
-                    batch_mc: Optional[int], backend: str) -> np.ndarray:
+                    batch_mc: Optional[int]) -> np.ndarray:
     """Shard entry point — runs in pool workers (fork or spawn) or inline.
 
     Maps the published payload zero-copy (once per process, via
     :data:`_SHARD_CACHE`), evaluates its span, and returns only the fresh
     accuracy rows — the one thing that crosses the pipe back.
     """
-    mapping, driver = _shard_context(payload, backend)
+    mapping, driver = _shard_context(payload)
     if batch_mc is None:
         batch_mc = _default_shard_batch(stop - start, mapping.x)
     batch_mc = max(1, int(batch_mc))
@@ -297,7 +378,6 @@ def _evaluate_shard(payload: shm.EvalPayload, start: int, stop: int,
         "mc.shard",
         start=int(start),
         stop=int(stop),
-        backend=backend,
         batch_mc=batch_mc,
     ):
         _accuracy_rows(driver, mapping.epsilons, mapping.y,
@@ -314,7 +394,6 @@ def evaluate_mc_sharded(
     seed: int = 0,
     batch_mc: Optional[int] = None,
     scenario: str = DEFAULT_SCENARIO,
-    backend: str = DEFAULT_BACKEND,
     shards: int = 1,
     pool=None,
     store: Optional[shm.SharedArrayStore] = None,
@@ -366,7 +445,6 @@ def evaluate_mc_sharded(
     try:
         with telemetry.get().span(
             "mc.evaluate_sharded",
-            backend=backend,
             scenario=scenario,
             epsilon=epsilon,
             n_test=int(n_test),
@@ -378,13 +456,12 @@ def evaluate_mc_sharded(
             )
             if pool is None:
                 rows = [
-                    _evaluate_shard(payload, start, stop, batch_mc, backend)
+                    _evaluate_shard(payload, start, stop, batch_mc)
                     for start, stop in spans
                 ]
             else:
                 futures = [
-                    pool.submit(_evaluate_shard, payload, start, stop,
-                                batch_mc, backend)
+                    pool.submit(_evaluate_shard, payload, start, stop, batch_mc)
                     for start, stop in spans
                 ]
                 rows = [future.result() for future in futures]

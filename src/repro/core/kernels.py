@@ -124,7 +124,9 @@ def augment_inputs(x, ops=NUMPY_OPS):
     return ops.concatenate([x, ones, zeros], axis=-1)
 
 
-def positive_route_mask(theta_eff: np.ndarray) -> np.ndarray:
+def positive_route_mask(
+    theta_eff: np.ndarray, out: Optional[np.ndarray] = None
+) -> np.ndarray:
     """Routing mask of Eq. 1: 1 where the input feeds the crossbar directly.
 
     Negative surrogate conductances route their input through the
@@ -133,9 +135,12 @@ def positive_route_mask(theta_eff: np.ndarray) -> np.ndarray:
     through the negative-weight circuit (its sign only matters for the
     denominator, where the magnitude is used anyway).  ``theta_eff`` may
     carry any leading axes (MC, lane): the row axis is addressed from the
-    trailing end.
+    trailing end.  ``out`` optionally receives the float64 mask.
     """
-    mask = (np.asarray(theta_eff) >= 0.0).astype(np.float64)
+    if out is None:
+        mask = (np.asarray(theta_eff) >= 0.0).astype(np.float64)
+    else:
+        mask = np.greater_equal(theta_eff, 0.0, out=out)
     mask[..., -1, :] = 1.0
     return mask
 
@@ -347,8 +352,8 @@ def apply_nonideality(
       sign; a zero nominal entry stays zero).
 
     ``out`` optionally receives the result (it must already have the
-    broadcast shape); the fused backend passes a Workspace buffer here to
-    avoid allocating one effective-θ array per MC chunk.  ``np.copyto``
+    broadcast shape); the Workspace executors pass a buffer here to avoid
+    allocating one effective-θ array per MC chunk or epoch.  ``np.copyto``
     with ``where=`` writes the same values ``np.where`` selects, so both
     paths are bitwise identical.
     """

@@ -58,6 +58,7 @@ from repro.core.grad_kernels import (
     LayerGrads,
     Workspace,
     _LayerTape,
+    augment_into,
     crossbar_bwd,
     crossbar_fwd,
     project_printable,
@@ -69,7 +70,7 @@ from repro.core.grad_kernels import (
     transfer_fwd,
 )
 from repro.core.grad_kernels import apply_nonideality_bwd
-from repro.core.kernels import BIAS_VOLTAGE, apply_nonideality
+from repro.core.kernels import apply_nonideality
 from repro.core.params import PNNParams
 from repro.core.pnn import PrintedNeuralNetwork
 from repro.core.variation import EpsilonLike, eps_stack
@@ -88,7 +89,6 @@ LANE_SHARED_FIELDS = (
     "max_epochs",
     "patience",
     "loss",
-    "backend",
 )
 
 #: One lane's pre-drawn ε triples: list over layers of (ε_θ, ε_act, ε_neg);
@@ -139,25 +139,18 @@ class LaneNetwork:
     def __init__(self, net: KernelNetwork):
         self.net = net
         self.workspace = Workspace()
-        # Fused tier: thread this workspace through every kernel (transfer
-        # fwd/bwd, loss, ε application) instead of only the crossbar.
-        self._fws = self.workspace if net.backend == "fused" else None
 
     # ------------------------------------------------------------------ #
     # construction                                                       #
     # ------------------------------------------------------------------ #
 
     @classmethod
-    def from_pnns(
-        cls, pnns: Sequence[PrintedNeuralNetwork], backend: str = "numpy"
-    ) -> "LaneNetwork":
+    def from_pnns(cls, pnns: Sequence[PrintedNeuralNetwork]) -> "LaneNetwork":
         """Freeze a compatible set of networks into one lane engine.
 
         All networks must share topology, per-neuron-activation mode and
         the *same* surrogate objects (one snapshot serves every lane —
         anything else would silently break per-lane bit-identity).
-        ``backend`` selects the kernel execution tier exactly as in
-        :meth:`KernelNetwork.from_pnn` (bitwise-identical results).
         """
         if not pnns:
             raise ValueError("need at least one network")
@@ -175,7 +168,7 @@ class LaneNetwork:
                     or theirs.negation.surrogate is not mine.negation.surrogate
                 ):
                     raise ValueError("lane networks must share surrogate objects")
-        return cls(KernelNetwork.from_pnn(first, backend=backend))
+        return cls(KernelNetwork.from_pnn(first))
 
     @staticmethod
     def stack_arrays(pnns: Sequence[PrintedNeuralNetwork]) -> List[List[np.ndarray]]:
@@ -255,28 +248,30 @@ class LaneNetwork:
             if epsilons is not None:
                 eps_theta, eps_act, eps_neg = epsilons[index]
 
-            n_in = hidden.shape[-1]
-            x_aug = ws.buf(f"{tag}.l{index}.x_aug", (n_lanes, n_mc, batch, n_in + 2))
-            x_aug[..., :n_in] = hidden
-            x_aug[..., n_in] = BIAS_VOLTAGE
-            x_aug[..., n_in + 1] = 0.0
+            x_aug = augment_into(
+                ws.buf(
+                    f"{tag}.l{index}.x_aug",
+                    (n_lanes, n_mc, batch, hidden.shape[-1] + 2),
+                ),
+                hidden,
+            )
 
             printable = project_printable(theta_raw, meta.g_min, meta.g_max)
             theta_eff = printable[:, None]                    # (L, 1, I, O)
             if eps_theta is not None:
-                theta_out = None
-                if self._fws is not None:
-                    theta_out = ws.buf(
+                theta_eff = apply_nonideality(
+                    theta_eff, eps_theta,
+                    out=ws.buf(
                         f"{tag}.l{index}.theta",
                         np.broadcast_shapes(theta_eff.shape, eps_theta.shape),
-                    )
-                theta_eff = apply_nonideality(theta_eff, eps_theta, out=theta_out)
+                    ),
+                )
 
             eta_neg, neg_chain = self._eta_chain(
                 w_neg, eps_neg, self.net.neg_surrogate, record
             )
             inverted, ctx_neg_transfer = transfer_fwd(
-                x_aug, eta_neg, "negweight", ws=self._fws, tag=f"{tag}.l{index}.neg"
+                x_aug, eta_neg, "negweight", ws=ws, tag=f"{tag}.l{index}.neg"
             )
             v_z, ctx_crossbar = crossbar_fwd(
                 x_aug, inverted, theta_eff, ws=ws, tag=f"{tag}.l{index}"
@@ -286,7 +281,7 @@ class LaneNetwork:
                     w_act, eps_act, self.net.act_surrogate, record
                 )
                 hidden, ctx_act_transfer = transfer_fwd(
-                    v_z, eta_act, "ptanh", ws=self._fws, tag=f"{tag}.l{index}.act"
+                    v_z, eta_act, "ptanh", ws=ws, tag=f"{tag}.l{index}.act"
                 )
             else:
                 act_chain = ctx_act_transfer = None
@@ -323,22 +318,21 @@ class LaneNetwork:
         Gradients come back lane-stacked ``(L, ...)``; the ε chain rule and
         the nominal-θ unbroadcast reduce the MC axis (now axis 1).
         """
+        ws = self.workspace
         grads = [LayerGrads() for _ in self.net.layers]
         grad = d_out
         for index in range(len(self.net.layers) - 1, -1, -1):
             meta, ctx = self.net.layers[index], tape[index]
             if meta.apply_activation:
                 grad, d_eta_act = transfer_bwd(
-                    grad, ctx.act_transfer, ws=self._fws,
-                    tag=f"lanes.bwd.l{index}.act",
+                    grad, ctx.act_transfer, ws=ws, tag=f"lanes.bwd.l{index}.act"
                 )
                 if need_omega_grads:
                     grads[index].w_act = self._eta_chain_bwd(
                         d_eta_act, ctx.act_chain, self.net.act_surrogate
                     )
             d_x_aug, d_inverted, d_theta_eff = crossbar_bwd(
-                grad, ctx.crossbar, ws=self.workspace, tag=f"lanes.bwd.l{index}",
-                fused=self._fws is not None,
+                grad, ctx.crossbar, ws=ws, tag=f"lanes.bwd.l{index}"
             )
             if ctx.eps_theta is not None:
                 d_printable = apply_nonideality_bwd(d_theta_eff, ctx.eps_theta, axis=1)
@@ -347,8 +341,7 @@ class LaneNetwork:
             grads[index].theta = d_printable          # straight-through projection
 
             d_x_aug2, d_eta_neg = transfer_bwd(
-                d_inverted, ctx.neg_transfer, ws=self._fws,
-                tag=f"lanes.bwd.l{index}.neg",
+                d_inverted, ctx.neg_transfer, ws=ws, tag=f"lanes.bwd.l{index}.neg"
             )
             d_x_aug += d_x_aug2
             if need_omega_grads:
@@ -376,8 +369,8 @@ class LaneNetwork:
         voltages, tape = self.forward(
             arrays, x, epsilons=epsilons, record=True, tag="lanes"
         )
-        values, ctx = loss_fwd(voltages, targets, ws=self._fws, tag="lanes.loss")
-        d_voltages = loss_bwd(ctx, ws=self._fws, tag="lanes.loss")
+        values, ctx = loss_fwd(voltages, targets, ws=self.workspace, tag="lanes.loss")
+        d_voltages = loss_bwd(ctx, ws=self.workspace, tag="lanes.loss")
         return values, self.backward(tape, d_voltages, need_omega_grads=need_omega_grads)
 
     def loss_values(
@@ -392,7 +385,7 @@ class LaneNetwork:
         """Forward-only per-lane losses ``(L,)`` (validation path)."""
         loss_fwd, _ = LOSS_KERNELS[loss]
         voltages, _ = self.forward(arrays, x, epsilons=epsilons, record=False, tag=tag)
-        values, _ = loss_fwd(voltages, targets, ws=self._fws, tag=f"{tag}.loss")
+        values, _ = loss_fwd(voltages, targets, ws=self.workspace, tag=f"{tag}.loss")
         return values
 
     # ------------------------------------------------------------------ #
@@ -490,7 +483,7 @@ def train_pnn_lanes(
     base = configs[0]
     n_lanes = len(pnns)
 
-    lane_net = LaneNetwork.from_pnns(pnns, backend=base.backend)
+    lane_net = LaneNetwork.from_pnns(pnns)
     n_layers = len(lane_net.net.layers)
     stacked = LaneNetwork.stack_arrays(pnns)
     theta_params: List[RawParameter] = []
@@ -639,7 +632,6 @@ def train_pnn_lanes(
         tel.event(
             "lanes.run",
             n_lanes=n_lanes,
-            backend=base.backend,
             epochs_run=epoch + 1,
             lane_epochs=lane_epochs,
             shrink_events=shrink_events,
@@ -651,7 +643,6 @@ def train_pnn_lanes(
         tel.event(
             "train.run",
             engine="lanes",
-            backend=base.backend,
             epochs_run=epoch + 1,
             best_epoch=max(s.best_epoch for s in stoppers),
             best_val_loss=min(s.best_value for s in stoppers),

@@ -53,7 +53,7 @@ from repro import telemetry
 from repro.core import evaluate_mc, evaluate_mc_sharded, surrogate_fingerprint
 from repro.core.shm import SharedArrayStore
 from repro.core.variation import DEFAULT_SCENARIO
-from repro.datasets import load_splits
+from repro.datasets import DatasetSplits, load_splits
 from repro.experiments.cache import ResultCache, RunJournal, job_digest
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.jobs import (
@@ -84,10 +84,7 @@ def _forked_execute(key: JobKey) -> JobOutcome:
     inherited from the parent at fork time — avoiding a per-task pickle
     of the surrogate bundle.
     """
-    return execute_job(
-        key, _FORK_STATE["config"], _FORK_STATE["surrogates"],
-        backend=_FORK_STATE.get("backend", "numpy"),
-    )
+    return execute_job(key, _FORK_STATE["config"], _FORK_STATE["surrogates"])
 
 
 def _forked_execute_batch(keys: List[JobKey]) -> List[JobOutcome]:
@@ -97,10 +94,7 @@ def _forked_execute_batch(keys: List[JobKey]) -> List[JobOutcome]:
     :func:`execute_job_lanes`, so the pool handles mixed batch widths
     with one code path.
     """
-    return execute_job_lanes(
-        keys, _FORK_STATE["config"], _FORK_STATE["surrogates"],
-        backend=_FORK_STATE.get("backend", "numpy"),
-    )
+    return execute_job_lanes(keys, _FORK_STATE["config"], _FORK_STATE["surrogates"])
 
 
 def _pool_context():
@@ -121,7 +115,6 @@ def run_table2_parallel(
     progress: Optional[Callable[[str], None]] = None,
     lane_width: int = 8,
     scenarios: Tuple[str, ...] = (DEFAULT_SCENARIO,),
-    backend: str = "numpy",
     mc_shards: Optional[int] = None,
     deploy_tile: Optional[Tuple[int, int]] = None,
 ) -> List[CellResult]:
@@ -164,12 +157,6 @@ def run_table2_parallel(
         trains and evaluates its own full grid; the default
         single-scenario sweep reproduces the historical results (and
         cache digests) exactly.
-    backend:
-        Kernel execution backend (:mod:`repro.core.backends`) for both
-        training and MC evaluation.  Bitwise-equal across backends, so —
-        like ``workers`` and ``lane_width`` — it changes wall time only,
-        never results, and it is *not* part of the cache digest: entries
-        recorded under one backend are served to all of them.
     mc_shards:
         Shard count for the Monte-Carlo test evaluations (third-tier
         parallelism; ``None`` takes ``config.mc_shards``).  Shards > 1
@@ -177,7 +164,7 @@ def run_table2_parallel(
         :func:`repro.core.evaluation.evaluate_mc_sharded` over the
         shared-memory data plane, spread across a pool when
         ``workers > 1``.  Bitwise identical to serial evaluation at any
-        count, and — like ``backend`` — outside the cache digest.
+        count, and — like ``workers`` — outside the cache digest.
     deploy_tile:
         Optional ``(max_rows, max_cols)`` crossbar tile bound.  When set,
         every selected best-of-seeds design is additionally tiled and
@@ -214,7 +201,6 @@ def run_table2_parallel(
             n_jobs=len(jobs),
             cached=cache is not None,
             scenarios=list(scenarios),
-            backend=backend,
             mc_shards=mc_shards,
         )
     outcomes: Dict[JobKey, JobOutcome] = {}
@@ -262,14 +248,25 @@ def run_table2_parallel(
         tel.count("lanes.jobs", n=len(pending) - serial_jobs)
         tel.count("lanes.serial_jobs", n=serial_jobs)
 
+    # Each dataset's splits are loaded once per run: in-process training
+    # and the assembly pass share them (forked workers load their own).
+    splits_by_dataset: Dict[str, DatasetSplits] = {}
+
+    def splits_for(dataset: str) -> DatasetSplits:
+        if dataset not in splits_by_dataset:
+            splits_by_dataset[dataset] = load_splits(
+                dataset, seed=SPLIT_SEED, max_train=config.max_train
+            )
+        return splits_by_dataset[dataset]
+
     if workers <= 1 or len(batches) <= 1:
         for batch in batches:
-            for outcome in execute_job_lanes(batch, config, surrogates, backend=backend):
+            splits = splits_for(batch[0].dataset)
+            for outcome in execute_job_lanes(batch, config, surrogates, splits=splits):
                 _finish(outcome)
     else:
         _FORK_STATE["config"] = config
         _FORK_STATE["surrogates"] = surrogates
-        _FORK_STATE["backend"] = backend
         try:
             ctx = _pool_context()
             tel.event("pool.start", workers=int(workers), n_pending=len(batches))
@@ -284,10 +281,10 @@ def run_table2_parallel(
         finally:
             _FORK_STATE.clear()
 
-    with tel.span("table2.assemble", backend=backend, mc_shards=mc_shards):
+    with tel.span("table2.assemble", mc_shards=mc_shards):
         results = _assemble(
-            datasets, config, surrogates, outcomes, cache, scenarios,
-            backend=backend, mc_shards=mc_shards, eval_workers=workers,
+            datasets, config, surrogates, outcomes, cache, splits_for, scenarios,
+            mc_shards=mc_shards, eval_workers=workers,
             deploy_tile=deploy_tile, progress=progress,
         )
     if tel.enabled:
@@ -348,8 +345,8 @@ def _assemble(
     surrogates,
     outcomes: Dict[JobKey, JobOutcome],
     cache: Optional[ResultCache],
+    splits_for: Callable[[str], DatasetSplits],
     scenarios: Tuple[str, ...] = (DEFAULT_SCENARIO,),
-    backend: str = "numpy",
     mc_shards: int = 1,
     eval_workers: int = 1,
     deploy_tile: Optional[Tuple[int, int]] = None,
@@ -371,10 +368,12 @@ def _assemble(
     evaluation pool (``fork`` preferred) is kept when ``eval_workers > 1``
     — the third parallelism tier.  Results are bitwise identical to the
     serial ``evaluate_mc`` path either way.
+
+    ``splits_for`` maps a dataset name to its splits: the run's
+    once-per-dataset loader, shared with in-process training.
     """
     results: List[CellResult] = []
     designs: Dict[Tuple[str, bool, bool, float, str], Tuple[object, int, float]] = {}
-    splits_by_dataset: Dict[str, object] = {}
     store: Optional[SharedArrayStore] = None
     eval_pool: Optional[ProcessPoolExecutor] = None
     if mc_shards > 1:
@@ -387,11 +386,7 @@ def _assemble(
     try:
         for scenario in scenarios:
             for dataset, setup, eps_test in iter_cells(datasets):
-                if dataset not in splits_by_dataset:
-                    splits_by_dataset[dataset] = load_splits(
-                        dataset, seed=SPLIT_SEED, max_train=config.max_train
-                    )
-                splits = splits_by_dataset[dataset]
+                splits = splits_for(dataset)
                 group = (
                     dataset, setup.learnable, setup.variation_aware,
                     train_epsilon(setup, eps_test), scenario,
@@ -423,7 +418,7 @@ def _assemble(
                         design, splits.x_test, splits.y_test,
                         epsilon=eps_test, n_test=config.n_test,
                         seed=mc_evaluation_seed(best_seed), scenario=scenario,
-                        backend=backend, shards=mc_shards, pool=eval_pool,
+                        shards=mc_shards, pool=eval_pool,
                         store=store, dataset_key=("dataset", dataset),
                     )
                 else:
@@ -431,7 +426,6 @@ def _assemble(
                         design, splits.x_test, splits.y_test,
                         epsilon=eps_test, n_test=config.n_test,
                         seed=mc_evaluation_seed(best_seed), scenario=scenario,
-                        backend=backend,
                     )
                 results.append(
                     CellResult(

@@ -18,7 +18,8 @@ required subset from scratch:
   stacked MNA systems (bit-identical to the scalar solver per lane).
 - :mod:`~repro.spice.sweep` — DC sweeps with warm starting (scalar and
   batched).
-- :mod:`~repro.spice.validate` — connectivity checks (networkx based).
+- :mod:`~repro.spice.validate` — connectivity checks (breadth-first search
+  from ground).
 """
 
 from repro.spice.netlist import Netlist

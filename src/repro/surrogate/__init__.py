@@ -5,7 +5,7 @@ The pipeline mirrors the paper exactly:
 1. :mod:`~repro.surrogate.design_space` — the feasible box of Table I with
    its two inequality constraints.
 2. :mod:`~repro.surrogate.sampling` — Quasi-Monte-Carlo (Sobol) sampling of
-   design points ω.
+   design points ω, with an in-repo scrambled Sobol generator.
 3. :mod:`~repro.surrogate.dataset_builder` — DC sweeps of the ptanh and
    negative-weight circuits for each ω (via :mod:`repro.spice`), followed by
 4. :mod:`~repro.surrogate.fitting` — least-squares extraction of the

@@ -1,9 +1,9 @@
 """A small Levenberg-Marquardt optimizer for nonlinear least squares.
 
 Used to extract the auxiliary parameters η from simulated transfer curves
-(Sec. III-A b).  scipy's implementation is available in this environment
-and is used as a cross-check in the tests, but the reproduction ships its
-own so the fitting step is fully transparent and dependency-light.
+(Sec. III-A b).  scipy's implementation is a test-only cross-check; the
+reproduction ships its own so the fitting step is fully transparent and
+needs nothing beyond numpy.
 
 Two entry points:
 

@@ -2,7 +2,7 @@
 
 The contract of :mod:`repro.core.grad_kernels` is *agreement*: for every
 point in the {learnable} × {nominal, ε>0} × {shared, per-neuron} ×
-{analytic, MLP surrogate} × {margin, ce} × {registered backend} grid, the
+{analytic, MLP surrogate} × {margin, ce} × {fresh, poisoned Workspace} grid, the
 kernel engine's loss
 must equal the autograd loss and its raw-parameter gradients must match the
 taped backward pass to ~1e-8 (observed agreement is float64 rounding).
@@ -72,9 +72,9 @@ def autograd_reference(pnn, x, y, loss_name, epsilons):
     return loss.item(), grads
 
 
-def assert_grids_match(pnn, x, y, loss_name, epsilons, backend="numpy"):
+def assert_grids_match(pnn, x, y, loss_name, epsilons):
     ref_loss, ref_grads = autograd_reference(pnn, x, y, loss_name, epsilons)
-    net = KernelNetwork.from_pnn(pnn, backend=backend)
+    net = KernelNetwork.from_pnn(pnn)
     arrays = KernelNetwork.extract_arrays(pnn)
     value, grads = net.loss_and_grads(arrays, x, y, loss=loss_name, epsilons=epsilons)
     assert value == pytest.approx(ref_loss, rel=1e-12)
@@ -101,20 +101,20 @@ class TestAutogradAgreement:
     @pytest.mark.parametrize("epsilon", [0.0, 0.1])
     @pytest.mark.parametrize("per_neuron", [False, True])
     def test_analytic_grid(
-        self, analytic_surrogates, batch, per_neuron, epsilon, loss_name, backend
+        self, analytic_surrogates, batch, per_neuron, epsilon, loss_name, workspace_fill
     ):
         x, y = batch
         pnn = make_pnn(analytic_surrogates, per_neuron=per_neuron)
         epsilons = draw_epsilons(pnn, epsilon, n_mc=5)
-        assert_grids_match(pnn, x, y, loss_name, epsilons, backend=backend)
+        assert_grids_match(pnn, x, y, loss_name, epsilons)
 
     @pytest.mark.parametrize("epsilon", [0.0, 0.1])
     @pytest.mark.parametrize("per_neuron", [False, True])
-    def test_mlp_grid(self, tiny_bundle, batch, per_neuron, epsilon, backend):
+    def test_mlp_grid(self, tiny_bundle, batch, per_neuron, epsilon, workspace_fill):
         x, y = batch
         pnn = make_pnn(tiny_bundle, per_neuron=per_neuron)
         epsilons = draw_epsilons(pnn, epsilon, n_mc=5)
-        assert_grids_match(pnn, x, y, "margin", epsilons, backend=backend)
+        assert_grids_match(pnn, x, y, "margin", epsilons)
 
     def test_without_output_activation(self, analytic_surrogates, batch):
         x, y = batch
@@ -214,6 +214,15 @@ class TestLossKernels:
 
         reference = make_loss("ce")(Tensor(voltages), targets).item()
         assert value == pytest.approx(reference, rel=1e-12)
+
+
+    @pytest.mark.parametrize("loss_fwd", [margin_loss_fwd, ce_loss_fwd])
+    def test_rejects_out_of_range_targets(self, rng, loss_fwd):
+        voltages = rng.uniform(0, 1, (4, 7, 3))
+        with pytest.raises(ValueError, match="targets"):
+            loss_fwd(voltages, np.array([0, 1, 2, 3, 0, 1, 2]))
+        with pytest.raises(ValueError, match="targets"):
+            loss_fwd(voltages, np.array([0, 1, 2]))
 
 
 class TestEngineInfrastructure:

@@ -81,15 +81,14 @@ class TestForwardEquivalence:
 
 
 class TestBackendDrivers:
-    """Each registered backend's eval driver vs ``network_forward`` — bitwise."""
+    """The Workspace eval driver vs the generic ``network_forward`` — bitwise."""
 
     @pytest.mark.parametrize("per_neuron", [False, True])
     @pytest.mark.parametrize("epsilon", [0.0, 0.10])
     def test_driver_matches_reference(
-        self, analytic_surrogates, backend, per_neuron, epsilon
+        self, analytic_surrogates, workspace_fill, per_neuron, epsilon
     ):
-        from repro.core.backends import get_backend
-        from repro.core.evaluation import draw_variation_samples
+        from repro.core.evaluation import EvalDriver, draw_variation_samples
 
         pnn = make_pnn(analytic_surrogates, per_neuron)
         params = snapshot_params(pnn)
@@ -99,7 +98,7 @@ class TestBackendDrivers:
             epsilons = draw_variation_samples(
                 params, VariationModel(epsilon, seed=6), n_test=5
             )
-        driver = get_backend(backend).make_eval_driver(params, x)
+        driver = EvalDriver(params, x)
         reference = kernels.network_forward(params, x, epsilons=epsilons)
         # Twice: warm scratch buffers must not change a single bit.
         for _ in range(2):
@@ -129,32 +128,34 @@ def trained_blob_pnn(blob_data):
 class TestChunkInvariance:
     """``evaluate_mc`` must be exactly invariant to ``batch_mc``."""
 
-    def test_batch_mc_does_not_change_results(self, trained_blob_pnn, blob_data, backend):
+    def test_batch_mc_does_not_change_results(
+        self, trained_blob_pnn, blob_data, workspace_fill
+    ):
         _, _, x_val, y_val = blob_data
         params = snapshot_params(trained_blob_pnn)
         reference = evaluate_mc(
             params, x_val, y_val, epsilon=0.1, n_test=23, seed=11, batch_mc=20,
-            backend=backend,
         )
         # Non-degenerate: variation must actually move some accuracies.
         assert len(set(reference.accuracies.tolist())) > 1
         for batch_mc in (1, 7, 23, 64):
             other = evaluate_mc(
                 params, x_val, y_val, epsilon=0.1, n_test=23, seed=11,
-                batch_mc=batch_mc, backend=backend,
+                batch_mc=batch_mc,
             )
             np.testing.assert_array_equal(other.accuracies, reference.accuracies)
 
-    def test_backends_agree_bitwise(self, trained_blob_pnn, blob_data, backend):
+    def test_backends_agree_bitwise(self, trained_blob_pnn, blob_data, workspace_fill):
+        """The Workspace evaluator vs accuracies from the generic kernels."""
+        from repro.core.evaluation import draw_variation_samples
+
         _, _, x_val, y_val = blob_data
         params = snapshot_params(trained_blob_pnn)
-        reference = evaluate_mc(
-            params, x_val, y_val, epsilon=0.1, n_test=23, seed=11, backend="numpy"
-        )
-        other = evaluate_mc(
-            params, x_val, y_val, epsilon=0.1, n_test=23, seed=11, backend=backend
-        )
-        np.testing.assert_array_equal(other.accuracies, reference.accuracies)
+        epsilons = draw_variation_samples(params, VariationModel(0.1, seed=11), n_test=23)
+        predictions = kernels.predict(params, x_val, epsilons=epsilons)
+        reference = np.mean(predictions == y_val, axis=1)
+        other = evaluate_mc(params, x_val, y_val, epsilon=0.1, n_test=23, seed=11)
+        np.testing.assert_array_equal(other.accuracies, reference)
 
     def test_matches_autograd_reference_at_sample_block(
         self, trained_blob_pnn, blob_data

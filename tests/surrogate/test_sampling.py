@@ -49,3 +49,22 @@ class TestSampling:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             sample_design_points(0)
+
+
+class TestScipyOracle:
+    """The in-repo Sobol generator is bitwise equal to ``scipy.stats.qmc``."""
+
+    @pytest.mark.parametrize("scramble", [True, False])
+    @pytest.mark.parametrize("n_points", [1, 2, 3, 64, 100, 1024, 4096])
+    def test_bitwise_equal_to_scipy(self, n_points, scramble):
+        qmc = pytest.importorskip("scipy.stats.qmc")
+        exponent = int(np.ceil(np.log2(max(n_points, 2))))
+        for seed in range(20):
+            unit = qmc.Sobol(d=7, scramble=scramble, seed=seed).random_base2(m=exponent)
+            reduced = qmc.scale(
+                unit[:n_points], DESIGN_SPACE.reduced_lower, DESIGN_SPACE.reduced_upper
+            )
+            expected = np.atleast_2d(DESIGN_SPACE.assemble(reduced))
+            np.testing.assert_array_equal(
+                sample_design_points(n_points, seed=seed, scramble=scramble), expected
+            )
