@@ -101,13 +101,25 @@ def test_micro_transfer_kernel(benchmark):
     assert out.shape == voltage.shape
 
 
-def test_micro_eval_chunk(benchmark, pnn):
-    # One batch_mc chunk of the MC-evaluation whole-path driver.
+def test_micro_eval_plan(benchmark, pnn):
+    # The per-evaluation work of the MC driver: effective θ, Eq. 1 weights,
+    # every circuit η and the inverter rows, for all 100 samples at once.
     params = snapshot_params(pnn)
     x = np.random.default_rng(1).uniform(size=(1024, 8))
-    epsilons = draw_variation_samples(params, VariationModel(0.1, seed=4), n_test=20)
+    epsilons = draw_variation_samples(params, VariationModel(0.1, seed=4), n_test=100)
     driver = EvalDriver(params, x)
-    out = benchmark(lambda: driver.forward(epsilons))
+    plan = benchmark(lambda: driver.plan(epsilons))
+    assert plan.n_mc == 100
+
+
+def test_micro_eval_chunk(benchmark, pnn):
+    # One batch_mc chunk of a planned MC evaluation: only batch-sized work.
+    params = snapshot_params(pnn)
+    x = np.random.default_rng(1).uniform(size=(1024, 8))
+    epsilons = draw_variation_samples(params, VariationModel(0.1, seed=4), n_test=100)
+    driver = EvalDriver(params, x)
+    chunk = driver.plan(epsilons).chunk(20, 40)
+    out = benchmark(lambda: driver.forward(chunk))
     assert out.shape == (20, 1024, 3)
 
 

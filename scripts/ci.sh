@@ -297,6 +297,8 @@ EOF
 echo "== executor smoke (Workspace kernels vs generic forward and recorded runs) =="
 python - <<'EOF'
 import hashlib
+from dataclasses import replace
+
 import numpy as np
 from repro.core import (
     PrintedNeuralNetwork,
@@ -306,8 +308,8 @@ from repro.core import (
     snapshot_params,
     train_pnn,
 )
-from repro.core.evaluation import draw_variation_samples
-from repro.core.variation import VariationModel
+from repro.core.evaluation import EvalDriver, draw_variation_samples
+from repro.core.variation import VariationModel, build_scenario_model
 from repro.experiments.runner import default_surrogates
 
 # Training and MC evaluation run only through the Workspace (out=)
@@ -319,11 +321,24 @@ params = snapshot_params(pnn)
 x = rng.uniform(0.0, 1.0, size=(64, 4))
 y = rng.integers(0, 3, size=64)
 
-# Gate 1: MC evaluation equals the generic repro.core.kernels forward.
-mine = evaluate_mc(params, x, y, epsilon=0.1, n_test=8, seed=11, batch_mc=3)
-epsilons = draw_variation_samples(params, VariationModel(0.1, seed=11), n_test=8)
-oracle = np.mean(kernels.predict(params, x, epsilons=epsilons) == y, axis=1)
-np.testing.assert_array_equal(mine.accuracies, oracle)
+# Gate 1: MC evaluation equals the generic repro.core.kernels forward,
+# under ε-only variation and stuck-at defects, on the mixed-sign design
+# and on one whose first layer has no negative conductance (so the MC
+# driver evaluates zero inverter rows there).
+first = params.layers[0]
+positive = replace(params, layers=(replace(first, theta=np.abs(first.theta)),
+                                   *params.layers[1:]))
+for design in (params, positive):
+    for scenario in ("default", "stuck-1pct"):
+        model = (VariationModel(0.1, seed=11) if scenario == "default"
+                 else build_scenario_model(scenario, 0.1, seed=11))
+        epsilons = draw_variation_samples(design, model, n_test=8)
+        rows = EvalDriver(design, x).plan(epsilons).row_counts()["inverter_rows"]
+        assert (rows[0] == 0) == (design is positive), (scenario, rows)
+        mine = evaluate_mc(design, x, y, epsilon=0.1, n_test=8, seed=11,
+                           batch_mc=3, scenario=scenario)
+        oracle = np.mean(kernels.predict(design, x, epsilons=epsilons) == y, axis=1)
+        np.testing.assert_array_equal(mine.accuracies, oracle)
 
 # Gate 2: a full training trajectory equals the one recorded on the
 # allocating kernels before they were removed (float.hex per epoch,
@@ -353,8 +368,9 @@ for engine in ("kernel", "lanes"):
         digest.update(name.encode())
         digest.update(np.ascontiguousarray(state[name], dtype=np.float64).tobytes())
     assert digest.hexdigest() == RECORDED_STATE, engine
-print("executor smoke OK: MC bitwise equal to the generic forward; kernel and "
-      "lane training bitwise equal to the recorded trajectory")
+print("executor smoke OK: MC bitwise equal to the generic forward (default and "
+      "stuck-1pct, with and without inverter rows); kernel and lane training "
+      "bitwise equal to the recorded trajectory")
 EOF
 
 echo "== sharding smoke (zero-copy data plane, bitwise-equal, telemetry-gated) =="

@@ -8,11 +8,33 @@ samples — the standard deviation is the paper's robustness measure.
 
 Evaluation runs autograd-free over a
 :class:`~repro.core.params.PNNParams` snapshot through
-:class:`EvalDriver`, which executes the :func:`repro.core.kernels.
-network_forward` sequence with the Workspace (``out=``) kernels of
+:class:`EvalDriver`, which computes the :func:`repro.core.kernels.
+network_forward` values with the Workspace (``out=``) kernels of
 :mod:`repro.core.grad_kernels`: inference-heavy MC testing has no use for
 a gradient tape, and its constant chunk shapes let every batch-sized
 intermediate live in a buffer allocated once per evaluation.
+
+**Per-evaluation plan.**  Everything that depends on the sample but not
+on the test rows — effective θ, the Eq. 1 routing mask, weights and
+denominators, and the η of every circuit — is computed once per
+evaluation (or shard span), vectorized over all its samples
+(:meth:`EvalDriver.plan`).  The ``batch_mc`` chunk loop then runs only
+the batch-sized work.  The plan also lists each layer's *inverter rows*:
+the crossbar rows where some sample routes some output negatively.  The
+Eq. 3 negative-weight transfer runs only on those rows (in layer 0 their
+inputs are gathered once, since every chunk sees the same input), and
+Eq. 3's negation is folded into η as ``(−η1) + (−η2)·tanh(…)``, which is
+exact under round-to-nearest.
+
+**Why the row skip is exact.**  Both Eq. 1 matmuls stay full-width, with
+the same operands and shapes.  Only the inverted buffer's other columns
+change: they hold 0.0 where they used to hold computed values.  Every
+weight they meet in ``neg_w`` is exactly +0.0 (every sample routes that
+row positively), so each product is ±0 and every sum is unchanged,
+however BLAS orders the reduction.  A 0·NaN could break that, so the test
+inputs, every effective θ and every η must be finite: a non-finite one
+raises ``ValueError`` naming the layer and circuit instead of turning
+into a Table-II number.
 
 **Sampling stream.**  The ε factors for all ``n_test`` fabrications are
 drawn *up front*, in fixed blocks of :data:`SAMPLE_BLOCK` samples (per
@@ -34,7 +56,13 @@ import numpy as np
 
 from repro import telemetry
 from repro.core import kernels, shm
-from repro.core.grad_kernels import Workspace, augment_into, crossbar_fwd, transfer_fwd
+from repro.core.grad_kernels import (
+    Workspace,
+    augment_into,
+    crossbar_combine,
+    crossbar_weights,
+    transfer_fwd,
+)
 from repro.core.params import PNNParams, snapshot_params
 from repro.core.pnn import PrintedNeuralNetwork
 from repro.core.variation import (
@@ -53,12 +81,13 @@ SAMPLE_BLOCK = 20
 #: on small test sets; results are chunk-invariant anyway.
 SHARD_BATCH_MC = 5 * SAMPLE_BLOCK
 
-#: Per-chunk intermediate budget behind the adaptive default: the kernel
-#: path materializes roughly ``batch_mc × batch × (features + 2)`` doubles
-#: per chunk, and chunks sized past the cache pay an mmap/page-fault round
-#: trip per temporary (measured: batch 2048 runs ~1.3× faster at chunk 20
-#: than at chunk 100).
-_SHARD_TARGET_BYTES = 16 << 20
+#: Per-chunk budget behind the adaptive default: a chunk's full-width
+#: ``batch_mc × batch × (features + 2)`` doubles (one x_aug or inverted
+#: buffer) should stay cache-sized.  Measured on one core (1 shard, inline,
+#: ``stuck-1pct``): a 425-row, 21-feature test set runs 118 ms per 800
+#: samples at chunk 20 but 150 ms at 40 and 172 ms at 100; 200 rows run best
+#: at 40 and 100 rows at 40–60, while a 30-row set is flat from 40 to 200.
+_SHARD_TARGET_BYTES = 1 << 20
 
 
 def _default_shard_batch(span: int, x: np.ndarray) -> int:
@@ -90,17 +119,113 @@ class MonteCarloAccuracy:
 Design = Union[PrintedNeuralNetwork, PNNParams]
 
 
+def _require_finite(values: np.ndarray, what: str) -> None:
+    """Refuse a non-finite per-evaluation array; ``what`` names its source."""
+    if not np.isfinite(values).all():
+        raise ValueError(f"non-finite {what}")
+
+
+def _eta(layer_index: int, kind: str, omega: np.ndarray, surrogate,
+         eps) -> np.ndarray:
+    """One layer's circuit η ``(n | 1, C, 4)``, checked finite per circuit."""
+    eta = kernels.circuit_eta(omega, surrogate, eps)
+    finite = np.isfinite(eta).all(axis=(0, 2))
+    if not finite.all():
+        circuit = int(np.flatnonzero(~finite)[0])
+        raise ValueError(
+            f"non-finite η in layer {layer_index}, {kind} circuit {circuit}"
+        )
+    return eta
+
+
+#: Folds Eq. 3's output negation into η: ``(−η1) + (−η2)·tanh(…)`` equals
+#: ``−(η1 + η2·tanh(…))`` bit for bit, because round-to-nearest is
+#: sign-symmetric — so the folded η runs through the Eq. 2 form.
+_NEGATE_ETA = np.array([-1.0, -1.0, 1.0, 1.0])
+
+
+def _span_rows(array: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Samples ``[lo, hi)`` of a per-evaluation array (size-1 axes broadcast)."""
+    return array if array.shape[0] == 1 else array[lo:hi]
+
+
+@dataclass(frozen=True)
+class LayerPlan:
+    """One layer's per-evaluation operands over a span of samples.
+
+    ``rows`` lists the crossbar rows the negative-weight circuit runs on:
+    those where the effective θ of *some* sample routes *some* output
+    negatively.  ``neg_eta`` is the negation η with Eq. 3's sign folded
+    in (:data:`_NEGATE_ETA`), its circuit axis sliced to ``rows`` when
+    there is one circuit per row; ``x_rows`` (layer 0 only) holds those
+    rows of the augmented test input, which every chunk shares.
+    """
+
+    pos_w: np.ndarray                   # (n | 1, in+2, out)
+    neg_w: np.ndarray                   # (n | 1, in+2, out)
+    denom: np.ndarray                   # (n | 1, 1, out)
+    rows: np.ndarray                    # (k,) inverter rows
+    neg_eta: np.ndarray                 # (n | 1, 1 | k, 4)
+    act_eta: Optional[np.ndarray]       # (n | 1, C, 4) or None
+    x_rows: Optional[np.ndarray]        # (batch, k), layer 0 only
+
+    def chunk(self, lo: int, hi: int) -> "LayerPlan":
+        return LayerPlan(
+            _span_rows(self.pos_w, lo, hi),
+            _span_rows(self.neg_w, lo, hi),
+            _span_rows(self.denom, lo, hi),
+            self.rows,
+            _span_rows(self.neg_eta, lo, hi),
+            None if self.act_eta is None else _span_rows(self.act_eta, lo, hi),
+            self.x_rows,
+        )
+
+
+@dataclass(frozen=True)
+class EvalPlan:
+    """The per-sample work of one evaluation (or shard span), done once.
+
+    Built by :meth:`EvalDriver.plan`; :meth:`chunk` slices it into the
+    ``batch_mc``-wide pieces :meth:`EvalDriver.forward` runs.
+    """
+
+    n_mc: int
+    layers: Tuple[LayerPlan, ...]
+
+    def chunk(self, lo: int, hi: int) -> "EvalPlan":
+        """Samples ``[lo, hi)`` of the span (views, no copies)."""
+        return EvalPlan(hi - lo, tuple(layer.chunk(lo, hi) for layer in self.layers))
+
+    def row_counts(self) -> Dict[str, List[int]]:
+        """Per layer: inverter rows evaluated, and rows that could route."""
+        return {
+            "inverter_rows": [int(layer.rows.size) for layer in self.layers],
+            # Every row but the ground row may route negatively.
+            "routable_rows": [layer.pos_w.shape[-2] - 1 for layer in self.layers],
+        }
+
+
 class EvalDriver:
     """MC-evaluation forward over one design and test set, one Workspace.
 
-    Executes exactly the :func:`repro.core.kernels.network_forward`
-    sequence — same validation, same operations in the same order — but
-    through the ``out=`` kernels of :mod:`repro.core.grad_kernels`, whose
-    buffers persist across ``batch_mc`` chunks (chunk shapes are constant,
-    so the steady state allocates nothing of batch size).  ``out=`` ufuncs
-    and matmuls round identically to their allocating forms, so the
-    output is bitwise equal to ``network_forward`` (pinned per chunk by
-    ``tests/core/test_kernel_equivalence.py``).
+    Computes exactly the :func:`repro.core.kernels.network_forward`
+    values, split in two:
+
+    - :meth:`plan` does the per-sample work of a whole evaluation (or
+      shard span) at once, vectorized over its samples: effective θ, the
+      Eq. 1 routing, weights and denominators, every circuit η, and the
+      set of inverter rows;
+    - :meth:`forward` runs one ``batch_mc`` chunk of the batch-sized work
+      through the ``out=`` kernels of :mod:`repro.core.grad_kernels`,
+      whose buffers persist across chunks (chunk shapes are constant, so
+      the steady state allocates nothing of batch size).
+
+    The negative-weight circuit runs only on the plan's inverter rows (see
+    the module docstring for why that is exact).  ``out=`` ufuncs and
+    matmuls round identically to their allocating forms, so the output is
+    bitwise equal to ``network_forward`` (pinned per chunk by
+    ``tests/core/test_kernel_equivalence.py`` and
+    ``tests/core/test_eval_plan.py``).
     """
 
     def __init__(self, params: PNNParams, x: np.ndarray):
@@ -112,61 +237,126 @@ class EvalDriver:
                 f"input has {data.shape[1]} features, "
                 f"network expects {params.layer_sizes[0]}"
             )
+        _require_finite(data, "test input x")
         self.params = params
         self.x = data
         self.workspace = Workspace()
-        # Shape of the layer-0 x_aug buffer whose content is already
-        # valid: layer 0 augments the *same* broadcast input every chunk,
-        # so a same-shaped chunk skips the (large) refill.  Nothing else
-        # writes that buffer.
-        self._x0_filled: Optional[Tuple[int, ...]] = None
+        # The augmented input of layer 0, whose inverter rows every plan
+        # gathers from.
+        self._x_aug0 = augment_into(np.empty((data.shape[0], data.shape[1] + 2)), data)
+        # Per layer: the x_aug buffer whose bias and ground columns are
+        # already written.  Those columns are constant, and so is all of
+        # layer 0's (the same input every chunk), so they are written only
+        # when the buffer is (re)allocated; nothing else writes them.
+        self._augmented: Dict[str, np.ndarray] = {}
+        # Per layer: the inverted buffer and the rows it was zeroed for.
+        self._inverted_rows: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
 
-    def forward(self, epsilons: Optional[List[kernels.LayerEpsilons]] = None) -> np.ndarray:
-        """Output voltages ``(n_mc, batch, classes)`` for one draw chunk."""
+    def plan(self, epsilons: Optional[List[kernels.LayerEpsilons]] = None,
+             start: int = 0, stop: Optional[int] = None) -> EvalPlan:
+        """Per-sample work for samples ``[start, stop)`` of ``epsilons``.
+
+        ``epsilons=None`` plans the nominal forward (one sample).  Raises
+        ``ValueError`` on a malformed draw, a non-finite effective θ or a
+        non-finite circuit η.
+        """
         params = self.params
-        ws = self.workspace
         n_mc = 1
         if epsilons is not None:
             if len(epsilons) != len(params.layers):
                 raise ValueError("need one epsilon triple per layer")
             first = epsilons[0][0]
-            n_mc = 1 if first is None else int(first.shape[0])
-        hidden = np.broadcast_to(self.x[None], (n_mc, *self.x.shape))
-
+            if first is not None:
+                n_mc = (first.shape[0] if stop is None else stop) - start
+        scratch = Workspace()
+        layers = []
         for index, layer in enumerate(params.layers):
             eps_theta = eps_act = eps_neg = None
             if epsilons is not None:
-                eps_theta, eps_act, eps_neg = epsilons[index]
-            tag = f"mc.l{index}"
-
-            shape = (*hidden.shape[:-1], hidden.shape[-1] + 2)
-            x_aug = ws.buf(f"{tag}.x_aug", shape)
-            if index > 0 or self._x0_filled != shape:
-                augment_into(x_aug, hidden)
-                if index == 0:
-                    self._x0_filled = shape
+                eps_theta, eps_act, eps_neg = (
+                    None if eps is None
+                    else (eps if isinstance(eps, Perturbation)
+                          else np.asarray(eps, dtype=np.float64))[start:stop]
+                    for eps in epsilons[index]
+                )
 
             theta_eff = layer.theta[None]                     # (1, I+2, O)
             if eps_theta is not None:
-                eps = eps_theta
-                if not isinstance(eps, Perturbation):
-                    eps = np.asarray(eps, dtype=np.float64)
-                if eps.ndim != 3 or eps.shape[1:] != layer.theta.shape:
+                if eps_theta.ndim != 3 or eps_theta.shape[1:] != layer.theta.shape:
                     raise ValueError("epsilon_theta must be (n_mc, in+2, out)")
-                theta_eff = kernels.apply_nonideality(
-                    theta_eff, eps,
-                    out=ws.buf(f"{tag}.theta", np.broadcast_shapes(theta_eff.shape, eps.shape)),
-                )
+                theta_eff = kernels.apply_nonideality(theta_eff, eps_theta)
+            _require_finite(theta_eff, f"effective θ in layer {index}, crossbar")
+            route, pos_w, neg_w, denom = crossbar_weights(
+                theta_eff, scratch, tag=f"l{index}"
+            )
+            rows = np.flatnonzero((route == 0.0).any(axis=(0, 2)))
 
-            inv_eta = kernels.circuit_eta(layer.neg_omega, params.neg_surrogate, eps_neg)
-            inverted, _ = transfer_fwd(x_aug, inv_eta, "negweight", ws=ws, tag=f"{tag}.neg")
-            hidden, _ = crossbar_fwd(x_aug, inverted, theta_eff, ws=ws, tag=tag)
+            neg_eta = _eta(index, "negative-weight", layer.neg_omega,
+                           params.neg_surrogate, eps_neg)
+            if neg_eta.shape[1] > 1:
+                neg_eta = neg_eta[:, rows]
+            act_eta = None
             if layer.apply_activation:
-                act_eta = kernels.circuit_eta(layer.act_omega, params.act_surrogate, eps_act)
-                hidden, _ = transfer_fwd(hidden, act_eta, "ptanh", ws=ws, tag=f"{tag}.act")
+                act_eta = _eta(index, "activation", layer.act_omega,
+                               params.act_surrogate, eps_act)
+            layers.append(LayerPlan(
+                pos_w, neg_w, denom, rows, neg_eta * _NEGATE_ETA, act_eta,
+                self._x_aug0[:, rows] if index == 0 else None,
+            ))
+        return EvalPlan(n_mc, tuple(layers))
+
+    def _inverted(self, tag: str, shape: Tuple[int, ...], rows: np.ndarray) -> np.ndarray:
+        """The full-width inverted buffer: 0.0 outside ``rows``."""
+        buffer = self.workspace.buf(f"{tag}.inv", shape)
+        zeroed = self._inverted_rows.get(tag)
+        if zeroed is None or zeroed[0] is not buffer or zeroed[1] is not rows:
+            buffer.fill(0.0)
+            self._inverted_rows[tag] = (buffer, rows)
+        return buffer
+
+    def forward(self, epsilons: Union[None, EvalPlan, List[kernels.LayerEpsilons]] = None
+                ) -> np.ndarray:
+        """Output voltages ``(n_mc, batch, classes)`` for one draw chunk.
+
+        ``epsilons`` is a chunk of a :meth:`plan` (the evaluation loop), or
+        raw per-layer draws / ``None``, which are planned first.
+        """
+        plan = epsilons if isinstance(epsilons, EvalPlan) else self.plan(epsilons)
+        ws = self.workspace
+        batch = self.x.shape[0]
+        hidden = None
+        for index, step in enumerate(plan.layers):
+            tag = f"mc.l{index}"
+            shape = (plan.n_mc, batch, step.pos_w.shape[-2])
+            x_aug = ws.buf(f"{tag}.x_aug", shape)
+            if self._augmented.get(tag) is not x_aug:
+                augment_into(x_aug, self.x if index == 0 else hidden)
+                self._augmented[tag] = x_aug
+            elif index > 0:
+                x_aug[..., :-2] = hidden
+
+            inverted = self._inverted(tag, shape, step.rows)
+            if step.rows.size:
+                if step.x_rows is not None:
+                    source = step.x_rows
+                else:
+                    # mode="clip" skips numpy's buffered bounds check;
+                    # every row index is in range.
+                    source = np.take(x_aug, step.rows, axis=-1, mode="clip", out=ws.buf(
+                        f"{tag}.neg.in", (*shape[:-1], step.rows.size)))
+                # Eq. 3 with the negation folded into η (the Eq. 2 form).
+                values, _ = transfer_fwd(source, step.neg_eta, "ptanh",
+                                         ws=ws, tag=f"{tag}.neg", keep=False)
+                inverted[..., step.rows] = values
+            hidden, _ = crossbar_combine(x_aug, inverted, step.pos_w, step.neg_w,
+                                         step.denom, ws, tag)
+            if step.act_eta is not None:
+                hidden, _ = transfer_fwd(hidden, step.act_eta, "ptanh",
+                                         ws=ws, tag=f"{tag}.act", keep=False)
         return hidden
 
-    def predict(self, epsilons: Optional[List[kernels.LayerEpsilons]] = None) -> np.ndarray:
+    def predict(self, epsilons: Union[None, EvalPlan, List[kernels.LayerEpsilons]] = None
+                ) -> np.ndarray:
         """Class predictions ``(n_mc, batch)`` for one draw chunk."""
         voltages = self.forward(epsilons)
         out = self.workspace.buf("mc.pred", voltages.shape[:-1], dtype=np.intp)
@@ -235,29 +425,28 @@ def _resolve_variation(epsilon: float, seed: int, scenario: str):
 
 def _nominal_accuracy(params: PNNParams, x: np.ndarray,
                       y: np.ndarray) -> MonteCarloAccuracy:
-    predictions = kernels.predict(params, x)              # (1, B)
+    predictions = EvalDriver(params, x).predict()         # (1, B)
     accuracy = float((predictions[0] == y).mean())
     return MonteCarloAccuracy(accuracies=np.asarray([accuracy]))
 
 
-def _accuracy_rows(driver, epsilons, y: np.ndarray, start: int, stop: int,
-                   batch_mc: int, out: np.ndarray) -> None:
+def _accuracy_rows(driver: EvalDriver, epsilons, y: np.ndarray, start: int,
+                   stop: int, batch_mc: int, out: np.ndarray, span) -> None:
     """Fill ``out`` with per-fabrication accuracies for rows [start, stop).
 
-    Slices the pre-drawn ε stream at *global* positions, writes at local
+    Plans the span's per-sample work once from the pre-drawn ε stream at
+    *global* positions, then runs it chunk by chunk and writes at local
     ones — the shared inner loop of :func:`evaluate_mc` (start = 0) and of
-    every shard in :func:`evaluate_mc_sharded`.
+    every shard in :func:`evaluate_mc_sharded`.  With telemetry on, the
+    enclosing ``span`` records the plan's per-layer inverter row counts.
     """
-    for chunk_start in range(start, stop, batch_mc):
-        chunk_stop = min(chunk_start + batch_mc, stop)
-        chunk = [
-            (theta[chunk_start:chunk_stop], act[chunk_start:chunk_stop],
-             neg[chunk_start:chunk_stop])
-            for theta, act, neg in epsilons
-        ]
-        predictions = driver.predict(chunk)               # (chunk, B)
-        np.mean(predictions == y, axis=1,
-                out=out[chunk_start - start:chunk_stop - start])
+    plan = driver.plan(epsilons, start, stop)
+    for lo in range(0, stop - start, batch_mc):
+        hi = min(lo + batch_mc, stop - start)
+        predictions = driver.predict(plan.chunk(lo, hi))  # (chunk, B)
+        np.mean(predictions == y, axis=1, out=out[lo:hi])
+    if telemetry.get().enabled:
+        span.attrs.update(plan.row_counts())
 
 
 def evaluate_mc(
@@ -306,8 +495,8 @@ def evaluate_mc(
         epsilon=epsilon,
         n_test=int(n_test),
         batch_mc=batch_mc,
-    ):
-        _accuracy_rows(driver, epsilons, y, 0, n_test, batch_mc, accuracies)
+    ) as span:
+        _accuracy_rows(driver, epsilons, y, 0, n_test, batch_mc, accuracies, span)
     return MonteCarloAccuracy(accuracies=accuracies)
 
 
@@ -379,9 +568,9 @@ def _evaluate_shard(payload: shm.EvalPayload, start: int, stop: int,
         start=int(start),
         stop=int(stop),
         batch_mc=batch_mc,
-    ):
+    ) as span:
         _accuracy_rows(driver, mapping.epsilons, mapping.y,
-                       start, stop, batch_mc, out)
+                       start, stop, batch_mc, out, span)
     return out
 
 

@@ -459,8 +459,8 @@ def surrogate_eta_bwd(d_eta: np.ndarray, ctx: tuple, sp: SurrogateParams) -> np.
 
 def transfer_fwd(
     voltage: np.ndarray, eta: np.ndarray, kind: str,
-    ws: Optional[Workspace] = None, tag: str = "tf",
-) -> Tuple[np.ndarray, tuple]:
+    ws: Optional[Workspace] = None, tag: str = "tf", keep: bool = True,
+) -> Tuple[np.ndarray, Optional[tuple]]:
     """Eq. 2/3 forward: voltages ``(..., B, F)``, η ``(..., C, 4)`` → output.
 
     Serially the shapes are ``(n_mc, B, F)`` / ``(n_mc, C, 4)``; with a
@@ -473,6 +473,9 @@ def transfer_fwd(
     (``ws=None`` uses a throwaway one).  ``out=`` ufuncs round identically
     to their allocating forms, so the result is bitwise equal to
     :func:`repro.core.kernels.circuit_transfer` — the house rule.
+    ``keep=False`` (forward-only callers) runs every pass in place in one
+    buffer and returns no context: the same values, a third of the
+    scratch.
     """
     ws = ws or Workspace()
     *lead, n_circuits, _ = eta.shape
@@ -483,12 +486,14 @@ def transfer_fwd(
     eta4 = eta[..., 3].reshape(shape)
     full = np.broadcast_shapes(voltage.shape, shape)
     shifted = np.subtract(voltage, eta3, out=ws.buf(f"{tag}.shift", full))
-    tanh_u = np.multiply(shifted, eta4, out=ws.buf(f"{tag}.tanh", full))
+    tanh_u = np.multiply(shifted, eta4, out=ws.buf(f"{tag}.tanh", full) if keep else shifted)
     np.tanh(tanh_u, out=tanh_u)
-    out = np.multiply(eta2, tanh_u, out=ws.buf(f"{tag}.out", full))
+    out = np.multiply(eta2, tanh_u, out=ws.buf(f"{tag}.out", full) if keep else tanh_u)
     np.add(eta1, out, out=out)
     if kind == "negweight":
         np.negative(out, out=out)
+    if not keep:
+        return out, None
     return out, (kind, tuple(lead), n_circuits, eta2, eta4, shifted, tanh_u)
 
 
@@ -544,6 +549,46 @@ def transfer_bwd(
 # --------------------------------------------------------------------- #
 
 
+def crossbar_weights(
+    theta_eff: np.ndarray, ws: Workspace, tag: str = "cb",
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Eq. 1 θ-side operands → (route, pos_w, neg_w, denom).
+
+    The routing mask follows the *sign* of the effective conductances;
+    ``pos_w``/``neg_w`` are the magnitudes the direct and the inverted
+    inputs meet (``neg_w`` is exactly +0.0 wherever an input routes
+    positively), and ``denom`` is the ``(..., 1, out)`` normalization.
+    Depends on θ only, so the MC evaluator computes it once per
+    evaluation; :func:`crossbar_fwd` once per call.
+    """
+    shape = theta_eff.shape
+    magnitude = np.abs(theta_eff, out=ws.buf(f"{tag}.mag", shape))
+    route = positive_route_mask(theta_eff, out=ws.buf(f"{tag}.route", shape))
+    pos_w = np.multiply(magnitude, route, out=ws.buf(f"{tag}.pos", shape))
+    neg_w = np.subtract(1.0, route, out=ws.buf(f"{tag}.neg", shape))
+    np.multiply(magnitude, neg_w, out=neg_w)
+    denom = magnitude.sum(axis=-2).reshape(*shape[:-2], 1, shape[-1]) + 1e-12
+    return route, pos_w, neg_w, denom
+
+
+def crossbar_combine(
+    x_aug: np.ndarray,
+    inverted: np.ndarray,
+    pos_w: np.ndarray,
+    neg_w: np.ndarray,
+    denom: np.ndarray,
+    ws: Workspace,
+    tag: str = "cb",
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Eq. 1 batch side → (output, numerator): both matmuls, then normalize."""
+    *lead, batch, _ = x_aug.shape
+    out_shape = (*lead, batch, pos_w.shape[-1])
+    numerator = np.matmul(x_aug, pos_w, out=ws.buf(f"{tag}.num", out_shape))
+    numerator += np.matmul(inverted, neg_w, out=ws.buf(f"{tag}.num2", out_shape))
+    out = np.divide(numerator, denom, out=ws.buf(f"{tag}.out", out_shape))
+    return out, numerator
+
+
 def crossbar_fwd(
     x_aug: np.ndarray,
     inverted: np.ndarray,
@@ -558,24 +603,13 @@ def crossbar_fwd(
     ``(N | 1, I, O)``, lane-stacked ``(L, N, B, I)`` with θ
     ``(L, N | 1, I, O)``.  The routing mask follows the *sign* of the
     effective conductances and carries no gradient (exactly like the
-    autograd path, where it is a constant tensor).  VJP:
+    autograd path, where it is a constant tensor).  Composes
+    :func:`crossbar_weights` and :func:`crossbar_combine`.  VJP:
     :func:`crossbar_bwd`.
     """
     ws = ws or Workspace()
-    *lead, batch, _ = x_aug.shape
-    n_out = theta_eff.shape[-1]
-    shape = theta_eff.shape
-    magnitude = np.abs(theta_eff, out=ws.buf(f"{tag}.mag", shape))
-    route = positive_route_mask(theta_eff, out=ws.buf(f"{tag}.route", shape))
-    pos_w = np.multiply(magnitude, route, out=ws.buf(f"{tag}.pos", shape))
-    neg_w = np.subtract(1.0, route, out=ws.buf(f"{tag}.neg", shape))
-    np.multiply(magnitude, neg_w, out=neg_w)
-    numerator = np.matmul(x_aug, pos_w, out=ws.buf(f"{tag}.num", (*lead, batch, n_out)))
-    numerator += np.matmul(
-        inverted, neg_w, out=ws.buf(f"{tag}.num2", (*lead, batch, n_out))
-    )
-    denom = magnitude.sum(axis=-2).reshape(*theta_eff.shape[:-2], 1, n_out) + 1e-12
-    out = np.divide(numerator, denom, out=ws.buf(f"{tag}.out", (*lead, batch, n_out)))
+    route, pos_w, neg_w, denom = crossbar_weights(theta_eff, ws, tag)
+    out, numerator = crossbar_combine(x_aug, inverted, pos_w, neg_w, denom, ws, tag)
     return out, (x_aug, inverted, theta_eff, route, pos_w, neg_w, numerator, denom)
 
 

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.autograd import Tensor
 from repro.core import PrintedNeuralNetwork, VariationModel
+from repro.core.grad_kernels import Workspace, augment_into, crossbar_fwd, transfer_fwd
 from repro.surrogate import AnalyticSurrogate
 
 SURROGATES = (AnalyticSurrogate("ptanh"), AnalyticSurrogate("negweight"))
@@ -90,3 +91,52 @@ class TestForwardInvariants:
         for _, param in pnn.named_parameters():
             assert param.grad is not None
             assert np.all(np.isfinite(param.grad))
+
+
+def _arrays(draw, shape, low, high):
+    values = draw(st.lists(
+        st.floats(low, high, allow_nan=False, allow_infinity=False),
+        min_size=int(np.prod(shape)), max_size=int(np.prod(shape)),
+    ))
+    return np.asarray(values, dtype=np.float64).reshape(shape)
+
+
+class TestCircuitEquationProperties:
+    """Eq. 1 and Eq. 2 invariants, on the production Workspace kernels."""
+
+    @given(data=st.data(), n_mc=st.integers(1, 3), batch=st.integers(1, 4),
+           n_in=st.integers(1, 4), n_out=st.integers(1, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_crossbar_output_is_convex_combination(
+        self, data, n_mc, batch, n_in, n_out
+    ):
+        """Eq. 1 output lies within its direct inputs, inverted inputs,
+        the 1 V bias and the 0 V ground: it is a convex combination of
+        them (the 1e-12 in the denominator only pulls it towards 0 V)."""
+        hidden = _arrays(data.draw, (n_mc, batch, n_in), -2.0, 2.0)
+        x_aug = augment_into(np.empty((n_mc, batch, n_in + 2)), hidden)
+        inverted = _arrays(data.draw, x_aug.shape, -2.0, 2.0)
+        theta = _arrays(data.draw, (n_mc, n_in + 2, n_out), -1.0, 1.0)
+        out, _ = crossbar_fwd(x_aug, inverted, theta, ws=Workspace())
+        # x_aug carries the 1 V bias and 0 V ground columns itself.
+        sources = np.concatenate([x_aug, inverted], axis=-1)
+        low = sources.min(axis=-1, keepdims=True)
+        high = sources.max(axis=-1, keepdims=True)
+        slack = 1e-12 * np.maximum(1.0, np.abs(sources).max())
+        assert np.all(out >= low - slack)
+        assert np.all(out <= high + slack)
+
+    @given(data=st.data(), n_mc=st.integers(1, 3), n_circuits=st.integers(1, 3),
+           sign=st.sampled_from([1.0, -1.0]))
+    @settings(max_examples=60, deadline=None)
+    def test_ptanh_transfer_monotone_when_eta2_eta4_positive(
+        self, data, n_mc, n_circuits, sign
+    ):
+        """Eq. 2 is non-decreasing in voltage whenever η2·η4 > 0."""
+        eta = _arrays(data.draw, (n_mc, n_circuits, 4), -2.0, 2.0)
+        eta[..., 1] = sign * _arrays(data.draw, (n_mc, n_circuits), 1e-3, 2.0)
+        eta[..., 3] = sign * _arrays(data.draw, (n_mc, n_circuits), 1e-3, 50.0)
+        grid = np.sort(_arrays(data.draw, (64,), -1.0, 2.0))
+        voltage = np.broadcast_to(grid[None, :, None], (n_mc, 64, n_circuits))
+        out, _ = transfer_fwd(voltage, eta, "ptanh", ws=Workspace())
+        assert np.all(np.diff(out, axis=1) >= 0.0)
