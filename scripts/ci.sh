@@ -151,76 +151,6 @@ print(f"surrogate smoke OK: engines identical; telemetry audited "
       f"{len(solves)} solves / {lanes} lanes, 0 scalar fallbacks")
 EOF
 
-echo "== lane-equality smoke (lockstep lanes vs serial jobs, telemetry-gated) =="
-TEL_LANES="$SMOKE_ROOT/telemetry_lanes"
-TEL_LANES="$TEL_LANES" python - <<'EOF'
-import os
-import numpy as np
-from repro import telemetry
-from repro.experiments import (
-    ExperimentConfig,
-    enumerate_jobs,
-    execute_job,
-    execute_job_lanes,
-    group_jobs_into_lanes,
-    run_table2_parallel,
-)
-from repro.experiments.runner import default_surrogates
-
-# Three seeds with a short patience so lanes early-stop at *different*
-# epochs — the active stack must shrink mid-run, not just at the end.
-# (The CLI cannot override seeds, hence this scripted invocation.)
-cfg = ExperimentConfig(seeds=(1, 2, 3), max_epochs=150, patience=6,
-                       n_mc_train=5, n_test=10, max_train=120)
-sur = default_surrogates()
-
-batch = next(b for b in group_jobs_into_lanes(enumerate_jobs(["iris"], cfg), 8)
-             if b[0].learnable and b[0].variation_aware)
-serial = [execute_job(key, cfg, sur) for key in batch]
-
-tel = telemetry.enable(os.environ["TEL_LANES"], manifest={"command": "ci-lane-smoke"})
-laned = execute_job_lanes(batch, cfg, sur)
-cells = run_table2_parallel(["iris"], cfg, surrogates=sur, workers=1, lane_width=8)
-telemetry.disable()
-
-# Gate 1: per-lane bit-identity — losses, epochs and trained parameters.
-for s, l in zip(serial, laned):
-    assert l.key == s.key
-    assert l.val_loss == s.val_loss, (s.key, s.val_loss, l.val_loss)
-    assert l.best_epoch == s.best_epoch and l.epochs_run == s.epochs_run
-    for sl, ll in zip(s.params.layers, l.params.layers):
-        assert np.array_equal(sl.theta, ll.theta)
-        assert np.array_equal(sl.act_omega, ll.act_omega)
-        assert np.array_equal(sl.neg_omega, ll.neg_omega)
-assert len({r.epochs_run for r in serial}) > 1, \
-    "smoke config regression: lanes no longer stop at different epochs"
-
-# Gate 2: the assembled table at lane_width=8 equals lane_width=1.
-reference = run_table2_parallel(["iris"], cfg, surrogates=sur,
-                                workers=1, lane_width=1)
-sig = lambda rs: [(c.dataset, c.setup.learnable, c.setup.variation_aware,
-                   c.eps_test, c.mean, c.std, c.best_seed, c.best_val_loss)
-                  for c in rs]
-assert sig(cells) == sig(reference), "lane_width=8 != lane_width=1 cells"
-
-# Gate 3 (telemetry): every job rode a lane — none fell back to serial —
-# and the active-lane count actually shrank mid-run.
-events = telemetry.read_events(os.environ["TEL_LANES"])
-counters = telemetry.summarize_events(events)["counters"]
-assert int(counters.get("lanes.serial_jobs", 0)) == 0, \
-    f"{counters.get('lanes.serial_jobs')} jobs fell back to serial scheduling!"
-assert int(counters.get("lanes.trained", 0)) >= len(batch)
-shrinks = [e for e in events if e["kind"] == "event" and e["name"] == "lanes.shrink"]
-assert shrinks, "no lanes.shrink events recorded"
-assert any(int(e["attrs"]["active"]) > 0 for e in shrinks), \
-    "active set only ever emptied wholesale — no mid-run shrink observed"
-runs = [e for e in events if e["kind"] == "event" and e["name"] == "lanes.run"]
-assert runs and all(int(e["attrs"]["lane_epochs"]) > 0 for e in runs)
-print(f"lane smoke OK: {len(serial)} lanes bitwise equal to serial "
-      f"(stops at epochs {sorted(r.epochs_run for r in serial)}); "
-      f"{len(shrinks)} shrink events, 0 serial fallbacks")
-EOF
-
 echo "== scenario smoke (stuck-at non-idealities through kernel + lanes, telemetry-gated) =="
 TEL_SCEN="$SMOKE_ROOT/telemetry_scenarios"
 TEL_SCEN="$TEL_SCEN" python - <<'EOF'

@@ -500,7 +500,8 @@ def transfer_fwd(
 def transfer_bwd(
     grad: np.ndarray, ctx: tuple,
     ws: Optional[Workspace] = None, tag: str = "tfb",
-) -> Tuple[np.ndarray, np.ndarray]:
+    need_eta_grad: bool = True,
+) -> Tuple[np.ndarray, Optional[np.ndarray]]:
     """VJP of :func:`transfer_fwd` → (d_voltage ``(..., B, F)``, dη ``(..., C, 4)``).
 
     η gradients reduce over the batch axis, and — for a shared circuit —
@@ -508,7 +509,8 @@ def transfer_bwd(
     axes, so the serial and lane-stacked layouts run the same code.
     The batch-sized cotangents run through :class:`Workspace` buffers
     (``out=`` ufuncs, untouched reduction order); ``grad`` itself is never
-    mutated.
+    mutated.  ``need_eta_grad=False`` (frozen ω) skips the dη reductions
+    and returns ``None`` in their place.
     """
     ws = ws or Workspace()
     kind, lead, n_circuits, eta2, eta4, shifted, tanh_u = ctx
@@ -535,6 +537,8 @@ def transfer_bwd(
     np.subtract(1.0, d_u, out=d_u)
     np.multiply(d_tanh, d_u, out=d_u)
     np.multiply(d_u, eta4, out=d_voltage)
+    if not need_eta_grad:
+        return d_voltage, None
     prod = ws.buf(f"{tag}.prod", full)
     d_eta1 = reduce(d_core)
     d_eta2 = reduce(np.multiply(d_core, tanh_u, out=prod))
@@ -615,7 +619,8 @@ def crossbar_fwd(
 
 def crossbar_bwd(
     grad: np.ndarray, ctx: tuple, ws: Optional[Workspace] = None, tag: str = "cb",
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    need_input_grad: bool = True, need_inverted_grad: bool = True,
+) -> Tuple[Optional[np.ndarray], Optional[np.ndarray], np.ndarray]:
     """VJP of :func:`crossbar_fwd` → (d_x_aug, d_inverted, d_theta_eff).
 
     The normalization denominator receives the full quotient-rule gradient
@@ -625,6 +630,9 @@ def crossbar_bwd(
     leading lane axis); MC-axis unbroadcasting addresses axis ``-3`` so the
     serial and stacked layouts share one code path.  Batch- and θ-sized
     temporaries live in Workspace buffers (``out=`` ufuncs/matmuls).
+    ``need_input_grad`` / ``need_inverted_grad`` off skip the d_x_aug /
+    d_inverted matmul and return ``None`` in its place (a first layer's
+    input is the dataset; its inverted copy only feeds frozen ω).
     """
     ws = ws or Workspace()
     x_aug, inverted, theta_eff, route, pos_w, neg_w, numerator, denom = ctx
@@ -642,12 +650,15 @@ def crossbar_bwd(
     if mc_broadcast:
         d_denom = d_denom.sum(axis=-3, keepdims=True)
 
-    d_x_aug = np.matmul(
-        d_num, pos_w.swapaxes(-1, -2), out=ws.buf(f"{tag}.dx", (*lead, batch, n_in))
-    )
-    d_inverted = np.matmul(
-        d_num, neg_w.swapaxes(-1, -2), out=ws.buf(f"{tag}.dinv", (*lead, batch, n_in))
-    )
+    d_x_aug = d_inverted = None
+    if need_input_grad:
+        d_x_aug = np.matmul(
+            d_num, pos_w.swapaxes(-1, -2), out=ws.buf(f"{tag}.dx", (*lead, batch, n_in))
+        )
+    if need_inverted_grad:
+        d_inverted = np.matmul(
+            d_num, neg_w.swapaxes(-1, -2), out=ws.buf(f"{tag}.dinv", (*lead, batch, n_in))
+        )
     d_pos_w = np.matmul(
         x_aug.swapaxes(-1, -2), d_num, out=ws.buf(f"{tag}.dpos", (*lead, n_in, n_out))
     )                                                          # (..., N, I+2, O)

@@ -32,7 +32,20 @@ and byte-identical trained parameters.  This holds because
   (fancy-index copy), which cannot perturb surviving lanes' bytes.
 
 Pinned by ``tests/core/test_lane_engine.py`` (per-lane histories, states,
-stop epochs, gather invariance) and the ci.sh lane-equality smoke.
+stop epochs, gather invariance, mixed-ε stacks) and
+``tests/experiments/test_lane_jobs.py``.
+
+Doing only the work results need
+--------------------------------
+Lanes may differ in training ε (each owns its variation models and
+validation draw), so a Table-II lane class fills its batches across both
+ε columns.  :class:`LaneNetwork` reuses an η chain (printable ω → × ε →
+η) while its 𝔴 and ε arrays are the same objects, keeping only the
+chains of the latest training and the latest validation pass; keyed
+arrays are marked read-only, so an in-place write raises instead of
+serving a stale η.  Its backward skips the gradients nothing reads:
+layer 0's input gradient always, and with frozen ω every dη reduction
+and layer 0's negation branch.
 
 Entry points
 ------------
@@ -46,6 +59,7 @@ module holding its best-epoch parameters, like the serial path.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from time import perf_counter
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -73,17 +87,20 @@ from repro.core.grad_kernels import apply_nonideality_bwd
 from repro.core.kernels import apply_nonideality
 from repro.core.params import PNNParams
 from repro.core.pnn import PrintedNeuralNetwork
-from repro.core.variation import EpsilonLike, eps_stack
+from repro.core.variation import EpsilonLike, Perturbation, eps_stack
 from repro.optim import EarlyStopping, RawParameter
 from repro.optim.lanes import LaneAdam
 
-#: TrainConfig fields every lane of a batch must agree on (seed may differ;
-#: verbose is presentation-only and ignored by the lane engine).
+#: TrainConfig fields every lane of a batch must agree on.  ``seed`` and
+#: ``epsilon`` may differ: each lane owns its variation models and
+#: validation draw, so lanes at different ε stay bitwise independent (they
+#: must still agree on *whether* training samples variation, which sets
+#: ``n_mc`` and the array shapes).  ``verbose`` is presentation-only and
+#: ignored by the lane engine.
 LANE_SHARED_FIELDS = (
     "lr_theta",
     "lr_omega",
     "learnable_nonlinear",
-    "epsilon",
     "scenario",
     "n_mc_train",
     "max_epochs",
@@ -124,6 +141,30 @@ def compact_epsilons(epsilons, keep: Sequence[int]):
     return [tuple(array[keep] for array in triple) for triple in epsilons]
 
 
+def _freeze(value: EpsilonLike) -> None:
+    """Make a chain key's arrays read-only (a 𝔴 stack or an ε draw)."""
+    if isinstance(value, Perturbation):
+        arrays = (value.scale, value.override_mask, value.override_value)
+    else:
+        arrays = (value,)
+    for array in arrays:
+        if array is not None:
+            array.flags.writeable = False
+
+
+@dataclass(frozen=True)
+class _EtaChain:
+    """One printable ω → (× ε) → η chain, the objects it was computed from,
+    and the context its VJP needs."""
+
+    w_raw: np.ndarray
+    epsilon: Optional[EpsilonLike]
+    omega_printable: np.ndarray
+    ctx_re: tuple
+    eta: np.ndarray
+    ctx_sp: tuple
+
+
 class LaneNetwork:
     """Stacked forward/backward executor over ``(L, ...)`` raw pNN arrays.
 
@@ -139,6 +180,11 @@ class LaneNetwork:
     def __init__(self, net: KernelNetwork):
         self.net = net
         self.workspace = Workspace()
+        # The η chains of the latest recorded (training) pass and of the
+        # latest forward-only (validation) pass, keyed by (layer, kind).
+        self._chains: Dict[bool, Dict[Tuple[int, str], _EtaChain]] = {True: {}, False: {}}
+        #: ``[computed, reused]`` η-chain counts; ``None`` leaves them uncounted.
+        self.chain_counts: Optional[List[int]] = None
 
     # ------------------------------------------------------------------ #
     # construction                                                       #
@@ -188,25 +234,50 @@ class LaneNetwork:
     # forward                                                            #
     # ------------------------------------------------------------------ #
 
-    def _eta_chain(self, w_raw, epsilon, sp, record):
-        """Lane-stacked 𝔴 ``(L, C, 7)`` → η; MC axis inserted after the lane."""
-        omega_printable, ctx_re = reassemble_omega_fwd(w_raw, self.net.space)
+    def _eta_chain(self, slot, w_raw, epsilon, sp, chains) -> "_EtaChain":
+        """Lane-stacked 𝔴 ``(L, C, 7)`` → η; MC axis inserted after the lane.
+
+        Reuses a chain of the latest training or validation pass when it
+        was computed from the same 𝔴 object (the printable-ω reassembly)
+        and the same ε object (η too).  Keyed arrays are made read-only,
+        so an in-place write raises instead of serving a stale η.  The
+        chain used is recorded in ``chains`` under ``slot``.
+        """
+        reassembled = None
+        for latest in self._chains.values():
+            chain = latest.get(slot)
+            if chain is None or chain.w_raw is not w_raw:
+                continue
+            if chain.epsilon is epsilon:
+                chains[slot] = chain
+                if self.chain_counts is not None:
+                    self.chain_counts[1] += 1
+                return chain
+            reassembled = chain
+        if reassembled is None:
+            _freeze(w_raw)
+            omega_printable, ctx_re = reassemble_omega_fwd(w_raw, self.net.space)
+        else:
+            omega_printable, ctx_re = reassembled.omega_printable, reassembled.ctx_re
         omega = omega_printable[:, None]                      # (L, 1, C, 7)
         if epsilon is not None:
+            _freeze(epsilon)
             omega = apply_nonideality(omega, epsilon)         # (L, N, C, 7)
         eta, ctx_sp = surrogate_eta_fwd(omega, sp)
-        ctx = (ctx_re, omega, epsilon, ctx_sp) if record else None
-        return eta, ctx
+        chain = _EtaChain(w_raw, epsilon, omega_printable, ctx_re, eta, ctx_sp)
+        chains[slot] = chain
+        if self.chain_counts is not None:
+            self.chain_counts[0] += 1
+        return chain
 
-    def _eta_chain_bwd(self, d_eta, ctx, sp):
+    def _eta_chain_bwd(self, d_eta, chain: "_EtaChain", sp):
         """VJP of :meth:`_eta_chain`; the ε chain rule reduces the MC axis (1)."""
-        ctx_re, _omega, epsilon, ctx_sp = ctx
-        d_omega_scaled = surrogate_eta_bwd(d_eta, ctx_sp, sp)
-        if epsilon is not None:
-            d_printable = apply_nonideality_bwd(d_omega_scaled, epsilon, axis=1)
+        d_omega_scaled = surrogate_eta_bwd(d_eta, chain.ctx_sp, sp)
+        if chain.epsilon is not None:
+            d_printable = apply_nonideality_bwd(d_omega_scaled, chain.epsilon, axis=1)
         else:
             d_printable = d_omega_scaled[:, 0]
-        return reassemble_omega_bwd(d_printable, ctx_re)
+        return reassemble_omega_bwd(d_printable, chain.ctx_re)
 
     def forward(
         self,
@@ -241,6 +312,7 @@ class LaneNetwork:
         batch = data.shape[0]
         hidden = np.broadcast_to(data, (n_lanes, n_mc, batch, data.shape[1]))
         tape: Optional[List[_LayerTape]] = [] if record else None
+        chains: Dict[Tuple[int, str], _EtaChain] = {}
 
         for index, (meta, params) in enumerate(zip(self.net.layers, arrays)):
             theta_raw, w_act, w_neg = params
@@ -267,21 +339,21 @@ class LaneNetwork:
                     ),
                 )
 
-            eta_neg, neg_chain = self._eta_chain(
-                w_neg, eps_neg, self.net.neg_surrogate, record
+            neg_chain = self._eta_chain(
+                (index, "neg"), w_neg, eps_neg, self.net.neg_surrogate, chains
             )
             inverted, ctx_neg_transfer = transfer_fwd(
-                x_aug, eta_neg, "negweight", ws=ws, tag=f"{tag}.l{index}.neg"
+                x_aug, neg_chain.eta, "negweight", ws=ws, tag=f"{tag}.l{index}.neg"
             )
             v_z, ctx_crossbar = crossbar_fwd(
                 x_aug, inverted, theta_eff, ws=ws, tag=f"{tag}.l{index}"
             )
             if meta.apply_activation:
-                eta_act, act_chain = self._eta_chain(
-                    w_act, eps_act, self.net.act_surrogate, record
+                act_chain = self._eta_chain(
+                    (index, "act"), w_act, eps_act, self.net.act_surrogate, chains
                 )
                 hidden, ctx_act_transfer = transfer_fwd(
-                    v_z, eta_act, "ptanh", ws=ws, tag=f"{tag}.l{index}.act"
+                    v_z, act_chain.eta, "ptanh", ws=ws, tag=f"{tag}.l{index}.act"
                 )
             else:
                 act_chain = ctx_act_transfer = None
@@ -301,6 +373,7 @@ class LaneNetwork:
                         neg_chain=neg_chain,
                     )
                 )
+        self._chains[record] = chains
         return hidden, tape
 
     # ------------------------------------------------------------------ #
@@ -316,23 +389,30 @@ class LaneNetwork:
         """Stacked VJP; mirrors :meth:`KernelNetwork.backward` per lane.
 
         Gradients come back lane-stacked ``(L, ...)``; the ε chain rule and
-        the nominal-θ unbroadcast reduce the MC axis (now axis 1).
+        the nominal-θ unbroadcast reduce the MC axis (now axis 1).  Only
+        what a later step reads is computed: layer 0 never forms the
+        gradient w.r.t. the dataset, and with ``need_omega_grads`` off no
+        dη is reduced and layer 0's negation branch is skipped entirely.
         """
         ws = self.workspace
         grads = [LayerGrads() for _ in self.net.layers]
         grad = d_out
         for index in range(len(self.net.layers) - 1, -1, -1):
             meta, ctx = self.net.layers[index], tape[index]
+            need_input = index > 0
+            need_inverted = need_input or need_omega_grads
             if meta.apply_activation:
                 grad, d_eta_act = transfer_bwd(
-                    grad, ctx.act_transfer, ws=ws, tag=f"lanes.bwd.l{index}.act"
+                    grad, ctx.act_transfer, ws=ws, tag=f"lanes.bwd.l{index}.act",
+                    need_eta_grad=need_omega_grads,
                 )
                 if need_omega_grads:
                     grads[index].w_act = self._eta_chain_bwd(
                         d_eta_act, ctx.act_chain, self.net.act_surrogate
                     )
             d_x_aug, d_inverted, d_theta_eff = crossbar_bwd(
-                grad, ctx.crossbar, ws=ws, tag=f"lanes.bwd.l{index}"
+                grad, ctx.crossbar, ws=ws, tag=f"lanes.bwd.l{index}",
+                need_input_grad=need_input, need_inverted_grad=need_inverted,
             )
             if ctx.eps_theta is not None:
                 d_printable = apply_nonideality_bwd(d_theta_eff, ctx.eps_theta, axis=1)
@@ -340,15 +420,18 @@ class LaneNetwork:
                 d_printable = d_theta_eff[:, 0]
             grads[index].theta = d_printable          # straight-through projection
 
-            d_x_aug2, d_eta_neg = transfer_bwd(
-                d_inverted, ctx.neg_transfer, ws=ws, tag=f"lanes.bwd.l{index}.neg"
-            )
-            d_x_aug += d_x_aug2
-            if need_omega_grads:
-                grads[index].w_neg = self._eta_chain_bwd(
-                    d_eta_neg, ctx.neg_chain, self.net.neg_surrogate
+            if need_inverted:
+                d_x_aug2, d_eta_neg = transfer_bwd(
+                    d_inverted, ctx.neg_transfer, ws=ws, tag=f"lanes.bwd.l{index}.neg",
+                    need_eta_grad=need_omega_grads,
                 )
-            grad = d_x_aug[..., : meta.in_features]
+                if need_omega_grads:
+                    grads[index].w_neg = self._eta_chain_bwd(
+                        d_eta_neg, ctx.neg_chain, self.net.neg_surrogate
+                    )
+            if need_input:
+                d_x_aug += d_x_aug2
+                grad = d_x_aug[..., : meta.in_features]
         return grads
 
     # ------------------------------------------------------------------ #
@@ -407,7 +490,7 @@ class LaneNetwork:
 
 
 def _require_compatible(configs) -> None:
-    """Lanes must agree on every hyperparameter except the seed."""
+    """Lanes must agree on every hyperparameter except the seed and ε."""
     base = configs[0]
     for config in configs[1:]:
         for name in LANE_SHARED_FIELDS:
@@ -440,12 +523,20 @@ def train_pnn_lanes(
         dataset/setup, so all lanes see the same data).
     configs:
         One :class:`~repro.core.training.TrainConfig` per lane.  All
-        fields except ``seed`` must agree (:data:`LANE_SHARED_FIELDS` —
-        including ``scenario``: lane stacks carry per-lane draws of the
-        *same* non-ideality model class, seeded per lane).  ``verbose``
-        is ignored.  Explicit variation/val-variation model *objects*
-        (aging models) are not supported on the lane path — use the
-        serial engine for those; named scenarios ride the config.
+        fields except ``seed`` and ``epsilon`` must agree
+        (:data:`LANE_SHARED_FIELDS` — including ``scenario``: lane stacks
+        carry per-lane draws of the *same* non-ideality model class,
+        seeded per lane), and either every lane samples training
+        variation or none does.  ``verbose`` is ignored.  Explicit
+        variation/val-variation model *objects* (aging models) are not
+        supported on the lane path — use the serial engine for those;
+        named scenarios ride the config.
+
+    Raises
+    ------
+    ValueError
+        On incompatible configs, or when ``x_train`` or ``x_val`` holds a
+        NaN or infinite entry.
 
     Returns
     -------
@@ -480,6 +571,10 @@ def train_pnn_lanes(
     if not pnns:
         return []
     _require_compatible(configs)
+    # A non-finite input can only train into a non-finite design.
+    for name, x in (("x_train", x_train), ("x_val", x_val)):
+        if not np.isfinite(x).all():
+            raise ValueError(f"{name} has non-finite entries; refusing to train on it")
     base = configs[0]
     n_lanes = len(pnns)
 
@@ -506,6 +601,11 @@ def train_pnn_lanes(
     # while the lane is active — the serial loop's exact consumption.
     variations = [_training_variation(config) for config in configs]
     sample_variation = variations[0] is not None
+    if any((variation is not None) != sample_variation for variation in variations):
+        raise ValueError(
+            "lane configs must agree on whether training samples variation "
+            "(nominal and variation-aware lanes cannot share a stack)"
+        )
     n_mc = base.n_mc_train if sample_variation else 1
 
     # Hoisted fixed validation ε per lane (seed + VALIDATION_SEED_OFFSET),
@@ -536,6 +636,8 @@ def train_pnn_lanes(
 
     tel = telemetry.get()
     trace = tel.enabled
+    if trace:
+        lane_net.chain_counts = [0, 0]
     t_fwd_bwd = t_opt = t_val = 0.0
     lane_epochs = 0
     shrink_events = 0
@@ -639,6 +741,8 @@ def train_pnn_lanes(
             fwd_bwd_s=t_fwd_bwd,
             optimizer_s=t_opt,
             validation_s=t_val,
+            eta_chains_computed=lane_net.chain_counts[0],
+            eta_chains_reused=lane_net.chain_counts[1],
         )
         tel.event(
             "train.run",

@@ -73,8 +73,8 @@ class TrainConfig:
     ``seed`` drives both RNG streams of the run — the per-epoch training
     draws and the frozen validation sample at
     ``seed + VALIDATION_SEED_OFFSET`` (see ``docs/TRAINING.md`` §2).  In
-    the lane tier every field except ``seed`` must agree across the
-    stacked configs (``repro.core.lanes.LANE_SHARED_FIELDS``).
+    the lane tier every field except ``seed`` and ``epsilon`` must agree
+    across the stacked configs (``repro.core.lanes.LANE_SHARED_FIELDS``).
 
     ``scenario`` names the non-ideality configuration to train under
     (``repro.core.variation.SCENARIOS``).  The ``"default"`` scenario is

@@ -104,15 +104,15 @@ def _build_parser() -> argparse.ArgumentParser:
                              "manifest) into DIR; results are bit-identical "
                              "with or without it")
     table2.add_argument("--lane-width", type=int, default=8, metavar="L",
-                        help="max same-group seeds trained in one lockstep "
+                        help="max same-class jobs trained in one lockstep "
                              "lane batch; results are bit-identical for any "
                              "width (default: 8)")
     table2.add_argument("--lane-grouping", choices=("setup", "off"),
                         default="setup",
-                        help="'setup' stacks all seeds of one (dataset, "
-                             "setup, ϵ_train) group into lanes; 'off' "
-                             "recovers the historical per-job scheduling "
-                             "(default: setup)")
+                        help="'setup' stacks all jobs of one (dataset, "
+                             "setup, scenario) class into lanes, across "
+                             "ϵ_train and seeds; 'off' schedules one job "
+                             "per batch (default: setup)")
     table2.add_argument("--scenario", action="append", dest="scenarios",
                         choices=scenario_names(), metavar="NAME", default=None,
                         help="non-ideality scenario to sweep (repeatable); "

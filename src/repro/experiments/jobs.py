@@ -15,12 +15,14 @@ the result.  This module defines the unit of work:
   :class:`~repro.core.params.PNNParams` inference snapshot (plain arrays
   and metadata, no live module or surrogate objects);
 - :func:`group_jobs_into_lanes` / :func:`execute_job_lanes` — the lane
-  tier: all seeds of one training group (same dataset, setup and
-  training ϵ — see :attr:`JobKey.group`) are stacked on a leading lane
-  axis and trained in lockstep by
-  :func:`repro.core.lanes.train_pnn_lanes`, producing outcomes *bitwise*
-  identical to per-job :func:`execute_job` calls at a fraction of the
-  dispatch cost.
+  tier, which trains every Table-II job: the jobs of one lane class
+  (same dataset, setup and scenario, any training ϵ and seed — see
+  :attr:`JobKey.lane_class`) are stacked on a leading lane axis and
+  trained in lockstep by :func:`repro.core.lanes.train_pnn_lanes`,
+  producing outcomes *bitwise* identical to per-job :func:`execute_job`
+  calls at a fraction of the dispatch cost.  :func:`execute_job` stays
+  the independent serial reference (and the path for callers that need
+  the serial engine).
 
 The snapshot *is* the design artifact: the parent process evaluates it
 directly through the autograd-free kernel path
@@ -35,7 +37,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, fields
-from typing import Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -103,6 +105,16 @@ class JobKey:
             self.dataset, self.learnable, self.variation_aware,
             self.train_eps, self.scenario,
         )
+
+    @property
+    def lane_class(self) -> Tuple[str, bool, bool, str]:
+        """Lane-compatibility key: ``(dataset, learnable, variation_aware, scenario)``.
+
+        Jobs of one class share splits, topology, hyperparameters and
+        whether training samples variation, so they may share a lane
+        stack whatever their training ϵ and seed.
+        """
+        return (self.dataset, self.learnable, self.variation_aware, self.scenario)
 
     def astuple(self) -> Tuple[str, bool, bool, float, int, str]:
         """The key as a plain tuple (stable field order, scenario last)."""
@@ -343,32 +355,27 @@ def group_jobs_into_lanes(
 ) -> List[List[JobKey]]:
     """Chunk a job list into lane batches of at most ``lane_width``.
 
-    Jobs sharing a :attr:`JobKey.group` (same dataset, setup and training
-    ϵ — hence the same splits, topology and shared hyperparameters) are
-    lane-compatible; they are batched in input order, and batches are
-    emitted in first-appearance order of their group, so the schedule is
-    deterministic for a deterministic job list.  ``lane_width <= 1``
-    degenerates to one singleton batch per job (the serial tier).
+    Jobs sharing a :attr:`JobKey.lane_class` (same dataset, setup and
+    scenario — hence the same splits, topology and shared
+    hyperparameters) are lane-compatible whatever their training ϵ; they
+    are batched in input order, and batches are emitted in
+    first-appearance order of their class.  :func:`enumerate_jobs` lists
+    each class contiguously, so the concatenated batches are the job list
+    itself.  ``lane_width <= 1`` gives one singleton batch per job.
 
     Because lane execution is bitwise identical to serial execution, the
     chunking policy affects wall time only — never results.
     """
     if lane_width <= 1:
         return [[key] for key in jobs]
-    buckets: "dict[tuple, List[JobKey]]" = {}
-    order: List[tuple] = []
+    buckets: Dict[tuple, List[JobKey]] = {}
     for key in jobs:
-        group = key.group
-        if group not in buckets:
-            buckets[group] = []
-            order.append(group)
-        buckets[group].append(key)
-    batches: List[List[JobKey]] = []
-    for group in order:
-        members = buckets[group]
-        for start in range(0, len(members), lane_width):
-            batches.append(members[start:start + lane_width])
-    return batches
+        buckets.setdefault(key.lane_class, []).append(key)
+    return [
+        members[start:start + lane_width]
+        for members in buckets.values()
+        for start in range(0, len(members), lane_width)
+    ]
 
 
 def execute_job_lanes(
@@ -379,31 +386,31 @@ def execute_job_lanes(
 ) -> List[JobOutcome]:
     """Train one lane batch in lockstep — bitwise equal to serial jobs.
 
-    All ``keys`` must share a :attr:`JobKey.group`; each key becomes one
-    lane of a :func:`repro.core.lanes.train_pnn_lanes` run.  Every lane's
-    network is seeded with ``default_rng(key.seed)`` exactly as
-    :func:`execute_job` does, and the lane engine is bitwise equal to the
-    serial kernel engine per lane, so the returned outcomes carry the
-    same losses, epochs and parameter snapshots as ``L`` separate
-    :func:`execute_job` calls (pinned by
+    All ``keys`` must share a :attr:`JobKey.lane_class`; each key becomes
+    one lane of a :func:`repro.core.lanes.train_pnn_lanes` run, a
+    width-1 batch included.  Every lane's network is seeded with
+    ``default_rng(key.seed)`` exactly as :func:`execute_job` does, and the
+    lane engine is bitwise equal to the serial kernel engine per lane, so
+    the returned outcomes carry the same losses, epochs and parameter
+    snapshots as ``L`` separate :func:`execute_job` calls (pinned by
     ``tests/experiments/test_lane_jobs.py``).
 
-    A width-1 batch falls through to :func:`execute_job` unchanged.  The
-    reported ``wall_time`` is the batch wall time divided evenly across
+    The reported ``wall_time`` is the batch wall time divided evenly across
     lanes (the scheduler-visible amortized cost); telemetry gets one
     ``job.lanes`` span for the batch plus the usual per-job ``job.done``
-    events tagged with ``lanes=len(keys)``.
+    events tagged with ``lanes=len(keys)``.  Non-finite training or
+    validation inputs raise ``ValueError`` before any epoch runs.
     """
     keys = list(keys)
     if not keys:
         return []
     first = keys[0]
-    if any(key.group != first.group for key in keys):
-        raise ValueError("lane batch must share one training group")
+    if any(key.lane_class != first.lane_class for key in keys):
+        raise ValueError(
+            "lane batch mixes lane groups: every job must share dataset, setup and scenario"
+        )
     if splits is None:
         splits = load_splits(first.dataset, seed=SPLIT_SEED, max_train=config.max_train)
-    if len(keys) == 1:
-        return [execute_job(first, config, surrogates, splits=splits)]
 
     topology = (splits.n_features, config.hidden, splits.n_classes)
     tel = telemetry.get()
@@ -414,7 +421,7 @@ def execute_job_lanes(
         dataset=first.dataset,
         learnable=first.learnable,
         variation_aware=first.variation_aware,
-        train_eps=first.train_eps,
+        train_eps=[key.train_eps for key in keys],
         scenario=first.scenario,
         n_lanes=len(keys),
         seeds=[key.seed for key in keys],

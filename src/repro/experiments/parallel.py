@@ -11,15 +11,15 @@ the serial runner produces.
 
 Three tiers of parallelism
 --------------------------
-The **first tier is lane batching**: all seeds of one training group
-(same dataset, setup and training ϵ) are stacked on a leading lane axis
-and trained in lockstep by :func:`repro.core.lanes.train_pnn_lanes` —
-one numpy kernel call sequence per epoch instead of one Python epoch
-loop per seed, bitwise identical per lane to the serial run.  The
-**process pool is the second tier**: it spreads whole lane *batches*
-(i.e. different groups/datasets) across cores, instead of individual
-seed jobs as it did before lanes existed.  ``lane_width=1`` disables the
-first tier and recovers the historical per-job pool exactly.  The
+The **first tier is lane batching**: the jobs of one lane class (same
+dataset, setup and scenario; every training ϵ and seed) are stacked on a
+leading lane axis and trained in lockstep by
+:func:`repro.core.lanes.train_pnn_lanes` — one numpy kernel call
+sequence per epoch instead of one Python epoch loop per job, bitwise
+identical per lane to the serial run.  The **process pool is the second
+tier**: it spreads whole lane *batches* (i.e. different classes/datasets)
+across cores.  ``lane_width=1`` schedules one job per batch, each still
+trained on the lane engine as a width-1 stack.  The
 **third tier is MC-evaluation sharding** (``mc_shards``): after training,
 the assembly pass splits each cell's ``n_test`` fabrications into
 ε-block-aligned shards evaluated through the zero-copy shared-memory
@@ -61,7 +61,6 @@ from repro.experiments.jobs import (
     JobKey,
     JobOutcome,
     enumerate_jobs,
-    execute_job,
     execute_job_lanes,
     group_jobs_into_lanes,
     iter_cells,
@@ -77,22 +76,13 @@ from repro.experiments.runner import (
 _FORK_STATE: Dict[str, object] = {}
 
 
-def _forked_execute(key: JobKey) -> JobOutcome:
-    """Worker entry point under the ``fork`` start method.
-
-    Reads config/surrogates from :data:`_FORK_STATE`, which the child
-    inherited from the parent at fork time — avoiding a per-task pickle
-    of the surrogate bundle.
-    """
-    return execute_job(key, _FORK_STATE["config"], _FORK_STATE["surrogates"])
-
-
 def _forked_execute_batch(keys: List[JobKey]) -> List[JobOutcome]:
     """Worker entry point for one lane batch (second-tier pool task).
 
-    A width-1 batch falls through to :func:`execute_job` inside
-    :func:`execute_job_lanes`, so the pool handles mixed batch widths
-    with one code path.
+    Reads config/surrogates from :data:`_FORK_STATE`, which the child
+    inherited from the parent at fork time — avoiding a per-task pickle
+    of the surrogate bundle.  Every batch, width 1 included, trains on
+    the lane engine.
     """
     return execute_job_lanes(keys, _FORK_STATE["config"], _FORK_STATE["surrogates"])
 
@@ -146,11 +136,10 @@ def run_table2_parallel(
     progress:
         Optional callback receiving one human-readable line per job.
     lane_width:
-        Maximum number of same-group jobs stacked into one lockstep lane
+        Maximum number of same-class jobs stacked into one lockstep lane
         batch (first-tier parallelism; see the module docstring).  ``1``
-        disables lane batching and recovers the historical per-job
-        scheduling exactly.  Any width produces bit-identical results —
-        only the wall time changes.
+        schedules one job per batch.  Any width produces bit-identical
+        results — only the wall time changes.
     scenarios:
         Non-ideality scenarios to sweep
         (:data:`repro.core.variation.SCENARIOS` names).  Each scenario
@@ -235,6 +224,8 @@ def run_table2_parallel(
 
     batches = group_jobs_into_lanes(pending, lane_width)
     if tel.enabled and pending:
+        # ``serial_jobs`` counts width-1 batches: they train on the lane
+        # engine too, as single-lane stacks that amortize nothing.
         widths = [len(batch) for batch in batches]
         serial_jobs = sum(w for w in widths if w == 1)
         tel.event(

@@ -185,8 +185,11 @@ def _lanes_section(events: List[Dict], counters: Dict[str, float]) -> List[str]:
     """Summarize the lockstep lane tier: widths, shrink trajectory, timing.
 
     Reads the ``lanes.plan`` scheduling event, the per-batch ``lanes.run``
-    events and the ``lanes.shrink`` active-set trajectory emitted by
-    :func:`repro.core.lanes.train_pnn_lanes`.
+    events (timing split, η-chain reuse) and the ``lanes.shrink``
+    active-set trajectory emitted by
+    :func:`repro.core.lanes.train_pnn_lanes`.  The ``lanes.serial_jobs``
+    counter counts jobs planned as width-1 batches, which also train on
+    the lane engine.
     """
     runs = [e for e in events
             if e.get("kind") == "event" and e.get("name") == "lanes.run"]
@@ -199,18 +202,21 @@ def _lanes_section(events: List[Dict], counters: Dict[str, float]) -> List[str]:
     trained = int(counters.get("lanes.trained", 0))
     lines = [
         f"lanes: {len(runs)} lane batches, {trained} jobs trained in lanes "
-        f"({laned} planned laned, {serial} planned serial)",
+        f"({laned} planned in wider batches, {serial} planned as width-1 batches)",
     ]
     if runs:
         epochs = sum(int(e["attrs"].get("epochs_run", 0)) for e in runs)
         lane_epochs = sum(int(e["attrs"].get("lane_epochs", 0)) for e in runs)
         shrinks = sum(int(e["attrs"].get("shrink_events", 0)) for e in runs)
+        computed = sum(int(e["attrs"].get("eta_chains_computed", 0)) for e in runs)
+        reused = sum(int(e["attrs"].get("eta_chains_reused", 0)) for e in runs)
         saved = lane_epochs / epochs if epochs else 0.0
         lines.append(
             f"       {epochs} lockstep epochs covering {lane_epochs} "
             f"lane-epochs ({saved:.1f}x amortization), "
             f"{shrinks} active-set shrinks"
         )
+        lines.append(f"       η chains: {computed} computed, {reused} reused")
     shrink_events = [e for e in events
                      if e.get("kind") == "event" and e.get("name") == "lanes.shrink"]
     if shrink_events:

@@ -12,9 +12,13 @@ active stack shrinks mid-run.
 import numpy as np
 import pytest
 
+from repro import telemetry
 from repro.core import PrintedNeuralNetwork, TrainConfig, train_pnn, train_pnn_lanes
 from repro.core.aging import AgingModel
-from repro.core.lanes import LaneNetwork
+from repro.core.grad_kernels import KernelNetwork
+from repro.core.lanes import LaneNetwork, stack_epsilons
+from repro.core.training import draw_epoch_epsilons
+from repro.core.variation import VariationModel
 
 SEEDS = (1, 2, 3)
 
@@ -143,6 +147,109 @@ class TestLaneBitIdentity:
         )
 
 
+@pytest.mark.slow
+class TestMixedEpsilonLanes:
+    """Lanes at different training ε share one stack, bit for bit.
+
+    The serial side is ``train_pnn(engine="kernel")`` — the engine
+    ``execute_job`` runs.  Short patience staggers the stops, so the stack
+    compacts mid-run and every reused η chain must be dropped with it.
+    """
+
+    @pytest.mark.parametrize("scenario", ["default", "stuck-1pct"])
+    @pytest.mark.parametrize("learnable", [False, True])
+    def test_mixed_epsilon_batch_bitwise_equal_serial(
+        self, analytic_surrogates, blob_data, learnable, scenario
+    ):
+        configs = [
+            make_config(seed, epsilon=eps, learnable_nonlinear=learnable,
+                        scenario=scenario, max_epochs=120, patience=5, loss="ce")
+            for seed in SEEDS for eps in (0.05, 0.1)
+        ]
+        serial = run_serial(analytic_surrogates, blob_data, configs)
+        assert_bitwise_equal(serial, run_lanes(analytic_surrogates, blob_data, configs))
+        epochs = [result.epochs_run for result in serial[0]]
+        assert min(epochs) < max(epochs), (
+            f"fixture regression: no lane stopped before the others ({epochs})"
+        )
+
+
+class TestEtaChainReuse:
+    """Each η chain is computed once per distinct (𝔴, ε) pair."""
+
+    @staticmethod
+    def _traced_run(tmp_path, surrogates, blob_data, configs):
+        telemetry.enable(tmp_path / "tel")
+        try:
+            results = run_lanes(surrogates, blob_data, configs)
+        finally:
+            telemetry.disable()
+        events = [e for e in telemetry.read_events(tmp_path / "tel")
+                  if e["kind"] == "event"]
+        (run,) = [e["attrs"] for e in events if e["name"] == "lanes.run"]
+        compactions = sum(1 for e in events
+                          if e["name"] == "lanes.shrink" and e["attrs"]["active"] > 0)
+        return results, run, compactions
+
+    @pytest.mark.parametrize("learnable", [False, True])
+    @pytest.mark.parametrize("epsilon", [0.0, 0.1])
+    def test_chain_counts(self, tmp_path, analytic_surrogates, blob_data, learnable, epsilon):
+        configs = [
+            make_config(seed, epsilon=epsilon, learnable_nonlinear=learnable,
+                        max_epochs=120, patience=5, loss="ce")
+            for seed in SEEDS
+        ]
+        results, run, k = self._traced_run(tmp_path, analytic_surrogates, blob_data, configs)
+        net = KernelNetwork.from_pnn(make_pnn(analytic_surrogates, 0))
+        per_pass = sum(1 + meta.apply_activation for meta in net.layers)
+        epochs = run["epochs_run"]
+        assert epochs == max(result.epochs_run for result in results[0])
+        assert k > 0, "fixture regression: the stack never compacted mid-run"
+        if not learnable and epsilon > 0:
+            # Fresh training ε every epoch; the validation chains once per
+            # compaction.
+            computed = per_pass * epochs + per_pass * (1 + k)
+        elif not learnable:
+            # Nominal training and validation share one chain per compaction.
+            computed = per_pass * (1 + k)
+        elif epsilon > 0:
+            computed = 2 * per_pass * epochs
+        else:
+            # Validation at epoch e and training at e + 1 see the same 𝔴.
+            computed = per_pass * (1 + epochs + k)
+        assert run["eta_chains_computed"] == computed
+        assert run["eta_chains_reused"] == 2 * per_pass * epochs - computed
+
+    def test_keyed_arrays_are_read_only(self, analytic_surrogates, blob_data):
+        _, _, x_val, y_val = blob_data
+        pnns = [make_pnn(analytic_surrogates, seed) for seed in SEEDS]
+        lanes = LaneNetwork.from_pnns(pnns)
+        arrays = LaneNetwork.stack_arrays(pnns)
+        epsilons = stack_epsilons([
+            draw_epoch_epsilons(VariationModel(0.1, seed=seed), 5, pnns[0])
+            for seed in SEEDS
+        ])
+        before = lanes.loss_values(arrays, x_val, y_val, epsilons=epsilons)
+        with pytest.raises(ValueError, match="read-only"):
+            arrays[0][2][...] = 0.0                   # 𝔴_neg of layer 0
+        with pytest.raises(ValueError, match="read-only"):
+            epsilons[1][1] *= 2.0                     # ε_act of layer 1
+        arrays[0][0][...] = arrays[0][0]              # θ keys no chain
+        np.testing.assert_array_equal(
+            lanes.loss_values(arrays, x_val, y_val, epsilons=epsilons), before
+        )
+
+
+class TestTelemetryNeutral:
+    def test_telemetry_on_equals_off(self, tmp_path, analytic_surrogates, blob_data):
+        configs = [make_config(seed, max_epochs=40, patience=5) for seed in SEEDS]
+        off = run_lanes(analytic_surrogates, blob_data, configs)
+        on, _, _ = TestEtaChainReuse._traced_run(
+            tmp_path, analytic_surrogates, blob_data, configs
+        )
+        assert_bitwise_equal(off, on)
+
+
 class TestLaneEngineDispatch:
     def test_engine_lanes_matches_engine_kernel(self, analytic_surrogates, blob_data):
         x_train, y_train, x_val, y_val = blob_data
@@ -176,10 +283,20 @@ class TestLaneEngineDispatch:
 class TestLaneValidation:
     def test_mismatched_configs_rejected(self, analytic_surrogates, blob_data):
         x_train, y_train, x_val, y_val = blob_data
-        pnns = [make_pnn(analytic_surrogates, seed) for seed in (1, 2)]
-        configs = [make_config(1), make_config(2, epsilon=0.2)]
-        with pytest.raises(ValueError, match="epsilon"):
-            train_pnn_lanes(pnns, x_train, y_train, x_val, y_val, configs)
+
+        def train(configs):
+            pnns = [make_pnn(analytic_surrogates, config.seed) for config in configs]
+            return train_pnn_lanes(pnns, x_train, y_train, x_val, y_val, configs)
+
+        # Lanes may differ in ε: each owns its variation models.
+        assert len(train([make_config(1, max_epochs=2),
+                          make_config(2, max_epochs=2, epsilon=0.2)])) == 2
+        with pytest.raises(ValueError, match="learnable_nonlinear"):
+            train([make_config(1), make_config(2, learnable_nonlinear=False)])
+        with pytest.raises(ValueError, match="samples variation"):
+            train([make_config(1), make_config(2, epsilon=0.0)])
+        with pytest.raises(ValueError, match="scenario"):
+            train([make_config(1), make_config(2, scenario="stuck-1pct")])
 
     def test_config_count_mismatch_rejected(self, analytic_surrogates, blob_data):
         x_train, y_train, x_val, y_val = blob_data
